@@ -11,17 +11,12 @@ from .cascade import (
     verify_y_identity,
 )
 from .core import (
-    GramMatrix,
-    GramViolation,
+    EvalResult,
     LagrangeMultipliers,
     MonotonePath,
     StateDistribution,
-    discretization_bound,
-    discretize_path,
-    lift_reduced,
     path_delta,
     round_distribution,
-    validate_gram,
 )
 from .diagnostics import (
     SyncFit,
@@ -32,7 +27,6 @@ from .diagnostics import (
     sync_fit,
 )
 from .functional import (
-    EvalResult,
     QuadratureSpec,
     eval_f1_restricted,
     eval_f2,
@@ -40,12 +34,9 @@ from .functional import (
     eval_parisi,
     eval_phi,
     eval_phi_cascade_mc,
-    increment_covariance,
 )
 from .model import (
-    Configuration,
     DisorderInstance,
-    OverlapMatrix,
     PerturbationHamiltonian,
     PerturbationSpec,
     ass_covariance_check,

@@ -213,19 +213,9 @@ def sample_overlap_array(sample, q, phi, n, rng_or_seed=0):
     return OverlapArray(traces, blocks)
 
 
-def _strict_levels(path):
-    x = tuple(float(v) for v in path.inner_x)
-    if not all(0.0 < v < 1.0 for v in x) or any(b <= a for a, b in zip(x, x[1:])):
-        raise ValidationError(
-            "cascade evaluation needs strictly increasing level parameters inside (0, 1)"
-        )
-    return x
-
-
 def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
-    spec = CascadeSpec(x=_strict_levels(path), atoms_per_level=k)
-    hs = np.sum(path.gammas**2, axis=(1, 2))
-    var_inc = np.diff(hs)
+    spec = CascadeSpec(tuple(path.inner_x), k)
+    var_inc = path.hs_increments()
 
     def one(i):
         rng = stream(seed, 0x11D, k, i)
@@ -247,8 +237,7 @@ def verify_y_identity(path, beta, scale_N=1, reps=400, atoms_per_level=200, seed
     """
     if scale_N < 1:
         raise ValidationError("scale_N must be at least 1")
-    hs = np.sum(path.gammas**2, axis=(1, 2))
-    closed = 0.5 * beta**2 * float(np.sum(path.inner_x * np.diff(hs)))
+    closed = 0.5 * beta**2 * path.hs_telescoped()
     est, se = _y_estimate(path, beta, scale_N, reps, atoms_per_level, seed, threads)
     est2, se2 = _y_estimate(path, beta, scale_N, reps, 2 * atoms_per_level, seed, threads)
     allowance = abs(est - est2)
@@ -266,7 +255,7 @@ def verify_y_identity(path, beta, scale_N=1, reps=400, atoms_per_level=200, seed
     }
 
 
-def coincidence_masses(spec, n_samples, seed=0, batch=64):
+def coincidence_masses(spec, n_samples, seed=0):
     """Estimated mean pair-coincidence masses over n_samples cascades.
 
     Returns (estimates, standard errors) for meet depths 0..r.
@@ -275,18 +264,10 @@ def coincidence_masses(spec, n_samples, seed=0, batch=64):
         raise ValidationError("need at least 2 cascade samples")
     sums = np.zeros(spec.r + 1)
     sq_sums = np.zeros(spec.r + 1)
-    done = 0
-    idx = 0
-    while done < n_samples:
-        m = min(batch, n_samples - done)
-        for i in range(m):
-            rng = stream(seed, 0xC01, idx)
-            sample = sample_cascade(spec, rng)
-            masses = sample.pair_coincidence_masses()
-            sums += masses
-            sq_sums += masses**2
-            idx += 1
-        done += m
+    for i in range(n_samples):
+        masses = sample_cascade(spec, stream(seed, 0xC01, i)).pair_coincidence_masses()
+        sums += masses
+        sq_sums += masses**2
     mean = sums / n_samples
     var = (sq_sums / n_samples - mean**2) * n_samples / (n_samples - 1)
     se = np.sqrt(np.clip(var, 0.0, None) / n_samples)

@@ -1,23 +1,22 @@
 """Command-line surface: reproducible experiment orchestration over all
 modules.  Reports are JSON on stdout (or CSV via --out/--format); exit status
-is 0 on success, 2 on validation errors, 3 on budget errors."""
+is 0 on success, 2 on validation errors, 3 on budget errors.
+
+Each subcommand declares its parameters in one table of Param rows.  The table
+makes the subcommand's flags and casts the params of a --config file, so a
+subcommand accepts exactly the parameters it reads."""
 
 import argparse
 import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .cascade import CascadeSpec, coincidence_masses, sample_cascade, sample_overlap_array, verify_y_identity
-from .core import (
-    GramViolation,
-    MonotonePath,
-    StateDistribution,
-    round_distribution,
-)
+from .core import MonotonePath, StateDistribution, round_distribution
 from .diagnostics import (
     gg_polynomial_extension_check,
     gg_residual,
@@ -25,29 +24,98 @@ from .diagnostics import (
     legendre_gap,
     sync_fit,
 )
-from .functional import QuadratureSpec, eval_lower_bound, eval_parisi, eval_phi
+from .functional import QuadratureSpec, eval_lower_bound, eval_parisi
 from .model import PerturbationSpec, ass_covariance_check, enumerate_free_energy, mcmc_free_energy
 from .optimize import outer_maximize
 from .util import BudgetError, ValidationError, stream
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide settings shared by every subcommand."""
+class Param(NamedTuple):
+    """One parameter, given as --name (with '-' for '_') or in the params of a
+    --config file; type casts both the flag text and the file value."""
 
-    seed: int = 0
-    threads: int = 1
-    out: str | None = None
-    fmt: str = "json"
-    params: dict = field(default_factory=dict)
-
-
-def _floats(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+    name: str
+    type: object
+    default: object
+    help: str
 
 
-def _ints(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+def _list_of(convert):
+    def cast(value):
+        items = value if isinstance(value, list) else str(value).split(",")
+        try:
+            return [convert(v) for v in items if v != ""]
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"expected comma-separated {convert.__name__}s, got {value!r}") from None
+
+    return cast
+
+
+_floats = _list_of(float)
+_ints = _list_of(int)
+
+
+def _choice(*options):
+    def cast(value):
+        if value not in options:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return cast
+
+
+def _seed(value):
+    if isinstance(value, bool) or not str(value).isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def _switch(value):
+    """A boolean; on the command line the bare flag means true."""
+    if isinstance(value, bool):
+        return value
+    if str(value).lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
+    return str(value).lower() == "true"
+
+
+# run-wide settings, accepted by every subcommand and at the top of a config file
+_RUN = (
+    Param("seed", _seed, 0, "master seed of every random stream"),
+    Param("threads", int, 1, "worker threads; reports do not depend on them"),
+    Param("out", str, None, "write the report to this file instead of stdout"),
+    Param("format", _choice("json", "csv"), "json", "report format: json or csv"),
+)
+KAPPA = Param("kappa", int, 2, "number of states")
+BETA = Param("beta", float, 1.0, "inverse temperature")
+D = Param("d", _floats, None, "state distribution d_1,...,d_kappa")
+R = Param("r", int, 1, "number of path levels")
+GRID_MESH = Param("grid_mesh", int, 8, "denominator of the simplex grid over d")
+SAMPLES = Param("samples", int, 200, "disorder draws")
+REPS = Param("reps", int, 200, "cascade replicates")
+ATOMS = Param("atoms", int, 200, "cascade atoms per level")
+X_LEVELS = Param("x", _floats, (0.3, 0.6), "cascade level parameters x_0,...,x_{r-1}")
+
+_COMMANDS = {}
+
+
+def _command(name, *table):
+    """Register a subcommand with its parameter table."""
+
+    def register(fn):
+        _COMMANDS[name] = (fn, table)
+        return fn
+
+    return register
+
+
+def _distribution(p, fallback):
+    """The --d distribution, checked against --kappa, or the fallback."""
+    if not p["d"]:
+        return fallback
+    if len(p["d"]) != p["kappa"]:
+        raise ValidationError(f"d has {len(p['d'])} entries but kappa is {p['kappa']}")
+    return StateDistribution(np.asarray(p["d"]))
 
 
 def build_named_path(name, kappa, x0=0.5, d=None):
@@ -111,51 +179,47 @@ def bound_check(
     }
 
 
-def _cmd_eval_parisi(cfg):
-    p = cfg.params
-    kappa = int(p.get("kappa", 2))
-    beta = float(p.get("beta", 1.0))
-    d = StateDistribution(np.asarray(_floats(p["d"]))) if p.get("d") else StateDistribution.uniform(kappa)
-    path = build_named_path(str(p.get("path", "uniform-r1")), kappa, float(p.get("x0", 0.5)), d)
-    lam = np.asarray(_floats(p.get("lambda", "")) or np.zeros(kappa - 1))
-    quad = QuadratureSpec(nodes_per_dim=int(p.get("nodes", 9)))
-    res = eval_parisi(lam, d, path, beta, quad)
-    out = res.to_json_dict()
-    out.update({"kappa": kappa, "beta": beta, "lambda": [float(v) for v in np.atleast_1d(lam)]})
+@_command(
+    "eval-parisi", KAPPA, BETA, D,
+    Param("path", str, "uniform-r1", "'uniform-r1' or a path JSON file"),
+    Param("x0", float, 0.5, "level x_0 of the uniform-r1 path"),
+    Param("lambda", _floats, None, "Lagrange multipliers (zeros if not given)"),
+    Param("nodes", int, 9, "Gauss-Hermite nodes per dimension"),
+)
+def _cmd_eval_parisi(p):
+    kappa = p["kappa"]
+    d = _distribution(p, StateDistribution.uniform(kappa))
+    path = build_named_path(p["path"], kappa, p["x0"], d)
+    lam = np.asarray(p["lambda"] or np.zeros(kappa - 1))
+    out = eval_parisi(lam, d, path, p["beta"], QuadratureSpec(nodes_per_dim=p["nodes"])).to_json_dict()
+    out.update({"kappa": kappa, "beta": p["beta"], "lambda": [float(v) for v in np.atleast_1d(lam)]})
     return out
 
 
-def _cmd_optimize(cfg):
-    p = cfg.params
-    kappa = int(p.get("kappa", 2))
-    beta = float(p.get("beta", 1.0))
-    r = int(p.get("r", 1))
-    config = {
-        "starts": int(p.get("starts", 8)),
-        "grid_mesh": int(p.get("grid_mesh", 8)),
-        "maxiter": int(p.get("maxiter", 200)),
-        "nonneg_gamma": bool(p.get("nonneg_gamma", False)),
-        "threads": cfg.threads,
-    }
-    return outer_maximize(kappa, beta, r, config, cfg.seed).to_json_dict()
+@_command(
+    "optimize", KAPPA, BETA, R, GRID_MESH,
+    Param("starts", int, 8, "Nelder-Mead starts per inner problem"),
+    Param("maxiter", int, 200, "Nelder-Mead iterations per start"),
+    Param("nonneg_gamma", _switch, False, "keep path entries nonnegative"),
+)
+def _cmd_optimize(p):
+    config = {k: p[k] for k in ("starts", "grid_mesh", "maxiter", "nonneg_gamma", "threads")}
+    return outer_maximize(p["kappa"], p["beta"], p["r"], config, p["seed"]).to_json_dict()
 
 
-def _cmd_free_energy(cfg):
-    p = cfg.params
-    n = int(p.get("N", 8))
-    kappa = int(p.get("kappa", 2))
-    beta = float(p.get("beta", 1.0))
-    samples = int(p.get("samples", 200))
-    d = StateDistribution(np.asarray(_floats(p["d"]))) if p.get("d") else None
-    method = str(p.get("method", "enumerate"))
-    if method == "enumerate":
-        res = enumerate_free_energy(n, kappa, beta, samples, cfg.seed, d, cfg.threads)
-    elif method == "mcmc":
+@_command(
+    "free-energy", Param("N", int, 8, "number of sites"), KAPPA, BETA, SAMPLES, D,
+    Param("method", _choice("enumerate", "mcmc"), "enumerate", "enumerate or mcmc"),
+)
+def _cmd_free_energy(p):
+    n, kappa, beta, seed, threads = p["N"], p["kappa"], p["beta"], p["seed"], p["threads"]
+    d = _distribution(p, None)
+    if p["method"] == "enumerate":
+        res = enumerate_free_energy(n, kappa, beta, p["samples"], seed, d, threads)
+    else:
         if d is None:
             d = round_distribution(StateDistribution.uniform(kappa), n)
-        res = mcmc_free_energy(n, kappa, beta, d, samples, seed=cfg.seed, threads=cfg.threads)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
+        res = mcmc_free_energy(n, kappa, beta, d, p["samples"], seed=seed, threads=threads)
     row = {
         "N": n,
         "kappa": kappa,
@@ -168,39 +232,31 @@ def _cmd_free_energy(cfg):
     return {"row": row, "diagnostics": res.diagnostics}
 
 
-def _cmd_bound_check(cfg):
-    p = cfg.params
+@_command(
+    "bound-check", Param("N", int, 8, "number of sites"), KAPPA, BETA, SAMPLES,
+    Param("M", int, 8, "size of the restricted configuration set"), R, REPS, ATOMS, GRID_MESH,
+)
+def _cmd_bound_check(p):
     return bound_check(
-        int(p.get("N", 8)),
-        int(p.get("kappa", 2)),
-        float(p.get("beta", 1.0)),
-        n_disorder=int(p.get("samples", 200)),
-        M=int(p.get("M", 8)),
-        r=int(p.get("r", 1)),
-        reps=int(p.get("reps", 200)),
-        atoms_per_level=int(p.get("atoms", 200)),
-        seed=cfg.seed,
-        threads=cfg.threads,
-        opt_config={"grid_mesh": int(p.get("grid_mesh", 8))},
+        p["N"], p["kappa"], p["beta"], n_disorder=p["samples"], M=p["M"], r=p["r"],
+        reps=p["reps"], atoms_per_level=p["atoms"], seed=p["seed"], threads=p["threads"],
+        opt_config={"grid_mesh": p["grid_mesh"]},
     )
 
 
-def _cmd_cascade_verify(cfg):
-    p = cfg.params
-    kappa = int(p.get("kappa", 2))
-    x_levels = _floats(p.get("x", "0.3,0.6"))
-    path = _equal_split_path(kappa, x_levels)
+@_command(
+    "cascade-verify", KAPPA, X_LEVELS, BETA,
+    Param("scale_N", int, 1, "system size scaling the Y field"), REPS, ATOMS,
+    Param("mass_samples", int, 200, "cascades behind the coincidence masses"),
+)
+def _cmd_cascade_verify(p):
+    x_levels, seed = p["x"], p["seed"]
     report = verify_y_identity(
-        path,
-        float(p.get("beta", 1.0)),
-        scale_N=int(p.get("scale_N", 1)),
-        reps=int(p.get("reps", 200)),
-        atoms_per_level=int(p.get("atoms", 200)),
-        seed=cfg.seed,
-        threads=cfg.threads,
+        _equal_split_path(p["kappa"], x_levels), p["beta"], scale_N=p["scale_N"],
+        reps=p["reps"], atoms_per_level=p["atoms"], seed=seed, threads=p["threads"],
     )
-    spec = CascadeSpec(tuple(x_levels), int(p.get("atoms", 200)))
-    masses, mass_se = coincidence_masses(spec, int(p.get("mass_samples", 200)), seed=cfg.seed)
+    spec = CascadeSpec(tuple(x_levels), p["atoms"])
+    masses, mass_se = coincidence_masses(spec, p["mass_samples"], seed=seed)
     targets = np.append(np.diff(np.concatenate([[0.0], x_levels])), 1.0 - x_levels[-1])
     report["coincidence"] = {
         "estimates": [float(v) for v in masses],
@@ -230,40 +286,31 @@ def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed):
     return arrays
 
 
-def _cmd_diag_gg(cfg):
-    p = cfg.params
-    kappa = int(p.get("kappa", 2))
-    x_levels = _floats(p.get("x", "0.3,0.6"))
-    arrays = _default_cascade_arrays(
-        kappa,
-        x_levels,
-        int(p.get("arrays", 400)),
-        int(p.get("replicas", 4)),
-        int(p.get("atoms", 200)),
-        cfg.seed,
-    )
-    n = int(p.get("n", 2))
+@_command(
+    "diag-gg", KAPPA, X_LEVELS, Param("arrays", int, 400, "sampled overlap arrays"),
+    Param("replicas", int, 4, "replicas per array"), ATOMS,
+    Param("n", int, 2, "replicas in the moment identity"),
+)
+def _cmd_diag_gg(p):
+    kappa, n, seed = p["kappa"], p["n"], p["seed"]
+    arrays = _default_cascade_arrays(kappa, p["x"], p["arrays"], p["replicas"], p["atoms"], seed)
     spec = PerturbationSpec(p=1, n=(1,), lambdas=np.ones((1, kappa)) / kappa)
-    res_const = gg_residual(arrays, lambda a: 1.0, n, spec, seed=cfg.seed)
-    res_poly = gg_residual(arrays, lambda a: float(a.traces[0, 1]), n, spec, seed=cfg.seed)
+    res_const = gg_residual(arrays, lambda a: 1.0, n, spec, seed=seed)
+    res_poly = gg_residual(arrays, lambda a: float(a.traces[0, 1]), n, spec, seed=seed)
     res_ext = gg_polynomial_extension_check(
-        arrays, lambda forms: float(np.minimum(forms, 0.5).sum()), n, spec, seed=cfg.seed
+        arrays, lambda forms: float(np.minimum(forms, 0.5).sum()), n, spec, seed=seed
     )
     return {"constant_f": res_const, "trace_f": res_poly, "extension": res_ext}
 
 
-def _cmd_diag_sync(cfg):
-    p = cfg.params
-    kappa = int(p.get("kappa", 2))
-    arrays = _default_cascade_arrays(
-        kappa,
-        _floats(p.get("x", "0.3,0.6")),
-        int(p.get("arrays", 100)),
-        int(p.get("replicas", 8)),
-        int(p.get("atoms", 200)),
-        cfg.seed,
-    )
-    fit = sync_fit(arrays, n_bins=int(p.get("bins", 20)))
+@_command(
+    "diag-sync", KAPPA, X_LEVELS, Param("arrays", int, 100, "sampled overlap arrays"),
+    Param("replicas", int, 8, "replicas per array"), ATOMS,
+    Param("bins", int, 20, "trace bins of the fit"),
+)
+def _cmd_diag_sync(p):
+    arrays = _default_cascade_arrays(p["kappa"], p["x"], p["arrays"], p["replicas"], p["atoms"], p["seed"])
+    fit = sync_fit(arrays, n_bins=p["bins"])
     return {
         "grid": [float(v) for v in fit.grid],
         "phi_hat": [[[float(v) for v in row] for row in m] for m in fit.phi_hat],
@@ -273,85 +320,48 @@ def _cmd_diag_sync(cfg):
     }
 
 
-def _cmd_diag_interp(cfg):
-    p = cfg.params
-    kappa = int(p.get("kappa", 2))
-    n = int(p.get("N", 4))
-    d = StateDistribution(np.asarray(_floats(p["d"]))) if p.get("d") else round_distribution(
-        StateDistribution.uniform(kappa), n
-    )
-    path = MonotonePath.one_step(d, float(p.get("x0", 0.3)))
-    t_grid = _floats(p.get("t", "")) or list(np.linspace(0.0, 1.0, int(p.get("t_points", 6))))
+@_command(
+    "diag-interp", KAPPA, Param("N", int, 4, "number of sites"), D,
+    Param("x0", float, 0.3, "level x_0 of the one-step path"),
+    Param("t", _floats, None, "interpolation grid (t_points even steps if not given)"),
+    Param("t_points", int, 6, "points of the default t grid"), BETA,
+    Param("reps", int, 300, "joint disorder and cascade draws"), ATOMS,
+)
+def _cmd_diag_interp(p):
+    kappa, n = p["kappa"], p["N"]
+    d = _distribution(p, round_distribution(StateDistribution.uniform(kappa), n))
+    t_grid = p["t"] or list(np.linspace(0.0, 1.0, p["t_points"]))
     return interpolation_curve(
-        n,
-        kappa,
-        d,
-        float(p.get("beta", 1.0)),
-        path,
-        t_grid,
-        reps=int(p.get("reps", 300)),
-        atoms_per_level=int(p.get("atoms", 200)),
-        seed=cfg.seed,
-        threads=cfg.threads,
+        n, kappa, d, p["beta"], MonotonePath.one_step(d, p["x0"]), t_grid, reps=p["reps"],
+        atoms_per_level=p["atoms"], seed=p["seed"], threads=p["threads"],
     )
 
 
-def _cmd_diag_legendre(cfg):
-    p = cfg.params
-    kappa = int(p.get("kappa", 2))
-    d = StateDistribution(np.asarray(_floats(p["d"]))) if p.get("d") else StateDistribution.uniform(kappa)
-    path = MonotonePath.one_step(d, float(p.get("x0", 0.5)))
-    lam_max = float(p.get("lambda_max", 1.0))
-    lam_points = int(p.get("lambda_points", 9))
-    base = np.linspace(-lam_max, lam_max, lam_points)
-    if kappa == 2:
-        grid = [np.array([v]) for v in base]
-    else:
-        grid = [np.full(kappa - 1, v) for v in base]
+@_command(
+    "diag-legendre", KAPPA, D, Param("x0", float, 0.5, "level x_0 of the one-step path"),
+    Param("lambda_max", float, 1.0, "half-width of the multiplier grid"),
+    Param("lambda_points", int, 9, "points of the multiplier grid"), BETA,
+    Param("M", _ints, (2, 4, 8), "restricted set sizes"), REPS, ATOMS,
+)
+def _cmd_diag_legendre(p):
+    kappa = p["kappa"]
+    d = _distribution(p, StateDistribution.uniform(kappa))
+    base = np.linspace(-p["lambda_max"], p["lambda_max"], p["lambda_points"])
+    grid = [np.full(kappa - 1, v) for v in base]
     return legendre_gap(
-        d,
-        path,
-        float(p.get("beta", 1.0)),
-        grid,
-        _ints(p.get("M", "2,4,8")),
-        reps=int(p.get("reps", 200)),
-        atoms_per_level=int(p.get("atoms", 200)),
-        seed=cfg.seed,
-        threads=cfg.threads,
+        d, MonotonePath.one_step(d, p["x0"]), p["beta"], grid, p["M"], reps=p["reps"],
+        atoms_per_level=p["atoms"], seed=p["seed"], threads=p["threads"],
     )
 
 
-def _cmd_ass_check(cfg):
-    p = cfg.params
+@_command(
+    "ass-check", Param("N", int, 4, "number of sites"), Param("M", int, 2, "number of cavity sites"),
+    KAPPA, Param("pairs", int, 3, "configuration pairs"), Param("draws", int, 10_000, "disorder draws"),
+)
+def _cmd_ass_check(p):
     return ass_covariance_check(
-        int(p.get("N", 4)),
-        int(p.get("M", 2)),
-        int(p.get("kappa", 2)),
-        n_pairs=int(p.get("pairs", 3)),
-        n_draws=int(p.get("draws", 10_000)),
-        seed=cfg.seed,
+        p["N"], p["M"], p["kappa"], n_pairs=p["pairs"], n_draws=p["draws"], seed=p["seed"]
     )
-
-
-_COMMANDS = {
-    "eval-parisi": _cmd_eval_parisi,
-    "optimize": _cmd_optimize,
-    "free-energy": _cmd_free_energy,
-    "bound-check": _cmd_bound_check,
-    "cascade-verify": _cmd_cascade_verify,
-    "diag-gg": _cmd_diag_gg,
-    "diag-sync": _cmd_diag_sync,
-    "diag-interp": _cmd_diag_interp,
-    "diag-legendre": _cmd_diag_legendre,
-    "ass-check": _cmd_ass_check,
-}
-
-_PARAM_FLAGS = [
-    "kappa", "beta", "N", "M", "r", "d", "x", "x0", "t", "t_points", "lambda",
-    "path", "nodes", "samples", "reps", "atoms", "starts", "grid_mesh",
-    "maxiter", "method", "arrays", "replicas", "bins", "n", "draws", "pairs",
-    "lambda_max", "lambda_points", "mass_samples", "scale_N",
-]
 
 
 def _build_parser():
@@ -360,34 +370,49 @@ def _build_parser():
         description="Potts glass free energy: simulation, variational bounds, and replica diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, table) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
         sp.add_argument("--config", default=None, help="JSON config file merged under flags")
-        sp.add_argument("--nonneg-gamma", dest="nonneg_gamma", action="store_true", default=None)
-        for flag in _PARAM_FLAGS:
-            sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None)
+        for row in _RUN + table:
+            flag = "--" + row.name.replace("_", "-")
+            if row.type is _switch:
+                sp.add_argument(flag, dest=row.name, action="store_true", default=argparse.SUPPRESS, help=row.help)
+            else:
+                sp.add_argument(flag, dest=row.name, type=row.type, default=argparse.SUPPRESS,
+                                help=f"{row.help} (default: {row.default})")
     return parser
 
 
-def _merge_config(args):
+def _cast(table, values, what):
+    """Cast config-file values by the table; a name not in it is an error."""
+    if not isinstance(values, dict):
+        raise ValidationError(f"config {what}s must be a JSON object")
+    rows = {row.name: row for row in table}
+    out = {}
+    for name, value in values.items():
+        if name not in rows:
+            raise ValidationError(f"unknown config {what} {name!r}")
+        try:
+            out[name] = rows[name].type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValidationError(f"config {what} {name!r}: {exc}") from None
+    return out
+
+
+def _merge_config(args, table):
+    """Run settings and params from the defaults, then the --config file, then
+    the flags, which win; one dict keyed by parameter name."""
     file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
+    if args.get("config"):
+        with open(args["config"]) as fh:
             file_cfg = json.load(fh)
-    params = dict(file_cfg.get("params", {}))
-    for flag in _PARAM_FLAGS + ["nonneg_gamma"]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            params[flag] = v
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
-    threads = args.threads if args.threads is not None else int(file_cfg.get("threads", 1))
-    out = args.out if args.out is not None else file_cfg.get("out")
-    fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "json")
-    return RunConfig(seed=seed, threads=threads, out=out, fmt=fmt, params=params)
+    if not isinstance(file_cfg, dict):
+        raise ValidationError("a config file must hold a JSON object")
+    p = {row.name: row.default for row in _RUN + table}
+    p.update(_cast(table, file_cfg.pop("params", {}), "param"))
+    p.update(_cast(_RUN, file_cfg, "key"))
+    p.update({k: v for k, v in args.items() if k in p})
+    return p
 
 
 def _csv_rows(report):
@@ -422,13 +447,12 @@ def render_report(report, fmt="json"):
 
 
 def dispatch(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _merge_config(args)
-    report = _COMMANDS[args.command](cfg)
-    text = render_report(report, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    args = vars(_build_parser().parse_args(argv))
+    fn, table = _COMMANDS[args["command"]]
+    p = _merge_config(args, table)
+    text = render_report(fn(p), p["format"])
+    if p["out"]:
+        with open(p["out"], "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -438,10 +462,12 @@ def dispatch(argv=None):
 def main(argv=None):
     try:
         return dispatch(argv)
+    except SystemExit as exc:  # argparse: malformed flags (2) or --help (0)
+        return exc.code
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, GramViolation, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Domain types: state distributions, Gram matrices, monotone matrix paths.
+"""Domain types: state distributions, monotone matrix paths, evaluation results.
 
 Paths are stored as step functions on cells (x_{p-1}, x_p], constant equal to
 gamma_p on each cell, with value 0 at 0.  Everything is immutable after
@@ -15,22 +15,34 @@ SUM_TOL = 1e-12
 SYM_TOL = 1e-12
 PSD_TOL = 1e-10
 ENTRY_TOL = 1e-12
-CONSTRAINT_TOL = 1e-10
 D_MATCH_TOL = 1e-10
 
 
-class GramViolation(ValueError):
-    """A matrix failed a Gram-cone invariant; .reason names the first check."""
-
-    def __init__(self, reason, detail=""):
-        self.reason = reason
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
-def _freeze(a):
+def freeze(a):
+    """A read-only float copy of an array-like."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+@dataclass(frozen=True)
+class EvalResult:
+    value: float
+    std_error: float
+    method: str
+    diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.method == "quadrature" and self.std_error != 0.0:
+            raise ValidationError("quadrature results are deterministic")
+
+    def to_json_dict(self):
+        return {
+            "value": float(self.value),
+            "std_error": float(self.std_error),
+            "method": self.method,
+            "diagnostics": self.diagnostics,
+        }
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,7 @@ class StateDistribution:
             raise ValidationError("distribution entries must be nonnegative")
         if abs(d.sum() - 1.0) > SUM_TOL:
             raise ValidationError(f"distribution sums to {d.sum()!r}, not 1")
-        object.__setattr__(self, "d", _freeze(np.clip(d, 0.0, None)))
+        object.__setattr__(self, "d", freeze(np.clip(d, 0.0, None)))
 
     @property
     def kappa(self):
@@ -75,99 +87,6 @@ class StateDistribution:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Validated element of the Gram cone, optionally with extra flags.
-
-    nonneg marks membership in the sub-cone of entrywise-nonnegative Gram
-    matrices; d marks membership in the d-constrained slice (last row/column
-    determined by the principal block).
-    """
-
-    entries: np.ndarray
-    nonneg: bool = False
-    d: StateDistribution | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
-
-    @property
-    def kappa(self):
-        return self.entries.shape[0]
-
-    def trace(self):
-        return float(np.trace(self.entries))
-
-    def norm_hs_sq(self):
-        return float(np.sum(self.entries**2))
-
-    def norm_l1(self):
-        return float(np.sum(np.abs(self.entries)))
-
-
-def _lifting_residuals(m, d):
-    """Residuals of the last-row/column identities for the d-constrained cone."""
-    kappa = d.kappa
-    dd = d.d
-    block = m[: kappa - 1, : kappa - 1]
-    row = dd[: kappa - 1] - block.sum(axis=1)
-    corner = dd[kappa - 1] - dd[: kappa - 1].sum() + block.sum()
-    res_col = m[kappa - 1, : kappa - 1] - row
-    res_row = m[: kappa - 1, kappa - 1] - row
-    res_corner = m[kappa - 1, kappa - 1] - corner
-    return res_row, res_col, res_corner
-
-
-def validate_gram(m, nonneg=False, d=None):
-    """Validate a square matrix against the Gram-cone invariants.
-
-    Returns a GramMatrix, or raises GramViolation naming the first violated
-    invariant.  Non-square or non-finite input raises ValidationError.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise ValidationError("matrix must be square and nonempty")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.T)) > SYM_TOL:
-        raise GramViolation("asymmetry", f"max |m - m.T| = {np.max(np.abs(m - m.T)):.3e}")
-    sym = 0.5 * (m + m.T)
-    lam_min = float(np.linalg.eigvalsh(sym)[0])
-    if lam_min < -PSD_TOL:
-        raise GramViolation("negative eigenvalue", f"lambda_min = {lam_min:.3e}")
-    if nonneg and np.min(m) < -ENTRY_TOL:
-        raise GramViolation("negative entry", f"min entry = {np.min(m):.3e}")
-    if d is not None:
-        if d.kappa != m.shape[0]:
-            raise ValidationError("distribution and matrix dimensions differ")
-        residuals = _lifting_residuals(sym, d)
-        worst = max(float(np.max(np.abs(r))) if np.size(r) else 0.0 for r in residuals)
-        if worst > CONSTRAINT_TOL:
-            raise GramViolation("constraint mismatch", f"max lifting residual = {worst:.3e}")
-    return GramMatrix(sym, nonneg=nonneg, d=d)
-
-
-def lift_reduced(d, reduced):
-    """Fill in the last row/column of a (kappa-1) principal block.
-
-    The lifted matrix is validated as d-constrained; an infeasible lift
-    raises GramViolation with the violated check.
-    """
-    reduced = np.asarray(reduced, dtype=float)
-    kappa = d.kappa
-    if reduced.shape != (kappa - 1, kappa - 1):
-        raise ValidationError(f"reduced block must be {(kappa - 1, kappa - 1)}, got {reduced.shape}")
-    if kappa > 1 and np.max(np.abs(reduced - reduced.T)) > SYM_TOL:
-        raise ValidationError("reduced block must be symmetric")
-    full = np.zeros((kappa, kappa))
-    full[: kappa - 1, : kappa - 1] = reduced
-    row = d.d[: kappa - 1] - reduced.sum(axis=1)
-    full[kappa - 1, : kappa - 1] = row
-    full[: kappa - 1, kappa - 1] = row
-    full[kappa - 1, kappa - 1] = d.d[kappa - 1] - d.d[: kappa - 1].sum() + reduced.sum()
-    return validate_gram(full, d=d)
-
-
-@dataclass(frozen=True)
 class LagrangeMultipliers:
     """Lagrange multipliers for the first kappa-1 state-size constraints."""
 
@@ -177,7 +96,7 @@ class LagrangeMultipliers:
         lam = np.asarray(self.lam, dtype=float)
         if lam.ndim != 1 or not np.all(np.isfinite(lam)):
             raise ValidationError("multipliers must be a finite 1-d vector")
-        object.__setattr__(self, "lam", _freeze(lam))
+        object.__setattr__(self, "lam", freeze(lam))
 
     @property
     def kappa(self):
@@ -236,8 +155,8 @@ class MonotonePath:
             lam_min = float(np.linalg.eigvalsh(0.5 * (inc + inc.T))[0])
             if lam_min < -PSD_TOL:
                 raise ValidationError(f"increment {p} is not PSD (lambda_min = {lam_min:.3e})")
-        object.__setattr__(self, "xs", _freeze(xs))
-        object.__setattr__(self, "gammas", _freeze(gammas))
+        object.__setattr__(self, "xs", freeze(xs))
+        object.__setattr__(self, "gammas", freeze(gammas))
 
     @property
     def r(self):
@@ -267,6 +186,19 @@ class MonotonePath:
         widths = np.diff(self.xs)
         hs = np.sum(self.gammas**2, axis=(1, 2))
         return float(np.sum(widths * hs))
+
+    def increment_covariances(self):
+        """(r, kappa, kappa): covariance 2 (gamma_p - gamma_{p-1}) of the
+        level-p Gaussian vector, p = 1..r."""
+        return 2.0 * np.diff(self.gammas, axis=0)
+
+    def hs_increments(self):
+        """|gamma_p|_HS^2 - |gamma_{p-1}|_HS^2 for p = 1..r."""
+        return np.diff(np.sum(self.gammas**2, axis=(1, 2)))
+
+    def hs_telescoped(self):
+        """sum_p x_p (|gamma_{p+1}|_HS^2 - |gamma_p|_HS^2) over the levels."""
+        return float(np.sum(self.inner_x * self.hs_increments()))
 
     @classmethod
     def from_increments(cls, d, inner_x, increments):
@@ -327,77 +259,6 @@ def path_delta(a, b):
         diff = a.value_at(right) - b.value_at(right)
         total += (right - left) * float(np.sum(np.abs(diff)))
     return total
-
-
-def _path_probe(p):
-    """Normalize a MonotonePath or callable probe to an evaluation function."""
-    if isinstance(p, MonotonePath):
-        return p.value_at, p.d
-    if callable(p):
-        return p, None
-    raise ValidationError("expected a MonotonePath or a callable probe")
-
-
-def discretize_path(p, grid, anchors=None, d=None):
-    """Step-path discretization taking the value p(anchor_p) on each cell.
-
-    grid holds the interior breakpoints (strictly increasing, inside (0,1));
-    anchors default to the right endpoints of the cells.  The last anchor must
-    be 1 so the result stays a valid path ending at diag(d).
-    """
-    value_at, path_d = _path_probe(p)
-    if path_d is not None:
-        d = path_d
-    if d is None:
-        raise ValidationError("a state distribution is required for callable probes")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and (np.any(np.diff(grid) <= 0) or grid[0] <= 0.0 or grid[-1] >= 1.0):
-        raise ValidationError("grid must be strictly increasing inside (0, 1)")
-    edges = np.concatenate([[0.0], grid, [1.0]])
-    if anchors is None:
-        anchors = edges[1:]
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.size != edges.size - 1:
-        raise ValidationError("need one anchor per grid cell")
-    for left, right, anchor in zip(edges[:-1], edges[1:], anchors):
-        if not (left < anchor <= right):
-            raise ValidationError(f"anchor {anchor!r} outside its cell ({left!r}, {right!r}]")
-    if anchors[-1] != 1.0:
-        raise ValidationError("the last anchor must be 1 so the path ends at diag(d)")
-    values = [np.asarray(value_at(a), dtype=float) for a in anchors]
-    # A nonzero value on the first cell needs a degenerate leading level,
-    # since gamma_0 is pinned to zero.
-    if np.max(np.abs(values[0])) > ENTRY_TOL:
-        xs = np.concatenate([[0.0, 0.0], grid, [1.0]])
-        gammas = np.concatenate([[np.zeros_like(values[0])], values])
-    else:
-        xs = edges
-        gammas = np.asarray(values)
-    gammas = np.array(gammas, dtype=float)
-    gammas[-1] = np.diag(d.d)
-    return MonotonePath(d, xs, gammas)
-
-
-def discretization_bound(p, discretized, d=None, samples=4096):
-    """kappa * integral of |trace difference|: the guaranteed Delta bound."""
-    value_at, path_d = _path_probe(p)
-    if path_d is not None:
-        d = path_d
-    kappa = discretized.kappa
-    if isinstance(p, MonotonePath):
-        grid = np.union1d(p.xs, discretized.xs)
-        total = 0.0
-        for left, right in zip(grid[:-1], grid[1:]):
-            if right <= left:
-                continue
-            diff = np.trace(value_at(right)) - discretized.trace_at(right)
-            total += (right - left) * abs(float(diff))
-        return kappa * total
-    # Midpoint rule for dense probes; the integrand is bounded and piecewise
-    # monotone so this converges quickly.
-    xs = (np.arange(samples) + 0.5) / samples
-    vals = [abs(float(np.trace(value_at(x))) - discretized.trace_at(x)) for x in xs]
-    return kappa * float(np.mean(vals))
 
 
 def round_distribution(d, N):

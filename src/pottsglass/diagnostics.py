@@ -10,21 +10,15 @@ from scipy.special import logsumexp
 from .cascade import (
     CascadeSpec,
     OverlapArray,
-    _strict_levels,
     sample_cascade,
     sample_leaf_fields,
     sample_scalar_fields,
 )
 from .core import round_distribution
-from .functional import (
-    _config_field_sum,
-    enumerate_constrained,
-    eval_f1_restricted,
-    eval_phi,
-)
+from .functional import config_field_sum, eval_f1_restricted, eval_phi
 from .model import (
     DisorderInstance,
-    _config_energies,
+    config_energies,
     enumerate_configs,
     perturbation_covariance,
     quadratic_forms,
@@ -168,10 +162,9 @@ def interpolation_curve(
         raise ValidationError("need at least 2 replicates")
     counts = d.counts(N)
     configs = enumerate_configs(N, kappa, counts)
-    spec = CascadeSpec(x=_strict_levels(path), atoms_per_level=atoms_per_level)
-    cov_inc = [2.0 * (path.gammas[p] - path.gammas[p - 1]) for p in range(1, path.r + 1)]
-    hs = np.sum(path.gammas**2, axis=(1, 2))
-    var_inc = np.diff(hs)
+    spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
+    cov_inc = path.increment_covariances()
+    var_inc = path.hs_increments()
     sqrt_n = np.sqrt(N)
 
     def one(i):
@@ -180,8 +173,8 @@ def interpolation_curve(
         sample = sample_cascade(spec, rng)
         z = sample_leaf_fields(sample, cov_inc, rng, n_copies=N)
         y = sample_scalar_fields(sample, var_inc, rng)
-        h = _config_energies(configs, g.g)
-        zterm = _config_field_sum(z, configs - 1)
+        h = config_energies(configs, g.g)
+        zterm = config_field_sum(z, configs - 1)
         logv = sample.log_leaf_weights
         out = np.empty(t_grid.size + 1)
         for j, t in enumerate(t_grid):
@@ -205,7 +198,7 @@ def interpolation_curve(
     inc_means = diffs.mean(axis=0)
     inc_ses = np.array([jackknife_se(diffs[:, j]) for j in range(diffs.shape[1])])
     worst = int(np.argmax(inc_means)) if inc_means.size else 0
-    y_term = 0.5 * beta**2 * float(np.sum(path.inner_x * var_inc))
+    y_term = 0.5 * beta**2 * path.hs_telescoped()
     report = {
         "t_grid": [float(t) for t in t_grid],
         "estimates": [float(v) for v in estimates],
@@ -252,7 +245,7 @@ def legendre_gap(
     rows = []
     for M in M_list:
         delta = round_distribution(d, M)
-        S = enumerate_constrained(M, delta.counts(M))
+        S = enumerate_configs(M, d.kappa, delta.counts(M))
         f1 = eval_f1_restricted(
             S, np.zeros(d.kappa - 1), path, beta, reps, atoms_per_level, seed, threads
         )

@@ -8,18 +8,14 @@ optimizer's objective; the Monte Carlo route is the independent cross-check.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .cascade import (
-    CascadeSpec,
-    _strict_levels,
-    sample_cascade,
-    sample_leaf_fields,
-)
-from .core import StateDistribution, as_multipliers, validate_gram
+from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
+from .core import EvalResult, as_multipliers
+from .model import enumerate_configs
 from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -38,33 +34,6 @@ class QuadratureSpec:
             raise ValidationError("nodes_per_dim must be odd and at least 3")
         if self.budget < self.nodes_per_dim:
             raise ValidationError("budget must cover at least one level")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    std_error: float
-    method: str
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.method == "quadrature" and self.std_error != 0.0:
-            raise ValidationError("quadrature results are deterministic")
-
-    def to_json_dict(self):
-        return {
-            "value": float(self.value),
-            "std_error": float(self.std_error),
-            "method": self.method,
-            "diagnostics": self.diagnostics,
-        }
-
-
-def increment_covariance(path, p):
-    """Covariance 2 * (gamma_p - gamma_{p-1}) of the level-p Gaussian vector."""
-    if not 1 <= p <= path.r:
-        raise ValidationError(f"level index {p} out of range 1..{path.r}")
-    return validate_gram(2.0 * (path.gammas[p] - path.gammas[p - 1]))
 
 
 def _gh_nodes(cov, nodes_per_dim, rank_tolerance):
@@ -101,8 +70,7 @@ def eval_phi(lam, path, beta, quad=None):
     r = path.r
     levels = []
     total_nodes = 1
-    for p in range(1, r + 1):
-        cov = 2.0 * (path.gammas[p] - path.gammas[p - 1])
+    for cov in path.increment_covariances():
         nodes, logw = _gh_nodes(cov, quad.nodes_per_dim, quad.rank_tolerance)
         levels.append((nodes, logw))
         total_nodes *= nodes.shape[0]
@@ -132,7 +100,7 @@ def eval_phi(lam, path, beta, quad=None):
     )
 
 
-def _cascade_phi_rep(i, path, lam_full, beta, spec, cov_inc, seed):
+def _cascade_phi_rep(i, lam_full, beta, spec, cov_inc, seed):
     rng = stream(seed, 0xF1, spec.atoms_per_level, i)
     sample = sample_cascade(spec, rng)
     z = sample_leaf_fields(sample, cov_inc, rng)
@@ -146,11 +114,11 @@ def eval_phi_cascade_mc(lam, path, beta, reps=200, atoms_per_level=200, seed=0, 
         raise ValidationError("need at least 2 replicates")
     kappa = path.kappa
     lam_full = np.append(as_multipliers(lam, kappa).lam, 0.0)
-    spec = CascadeSpec(x=_strict_levels(path), atoms_per_level=atoms_per_level)
-    cov_inc = [2.0 * (path.gammas[p] - path.gammas[p - 1]) for p in range(1, path.r + 1)]
+    spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
+    cov_inc = path.increment_covariances()
     values = np.asarray(
         map_indexed(
-            lambda i: _cascade_phi_rep(i, path, lam_full, beta, spec, cov_inc, seed),
+            lambda i: _cascade_phi_rep(i, lam_full, beta, spec, cov_inc, seed),
             reps,
             threads,
         )
@@ -173,9 +141,7 @@ def eval_parisi(lam, d, path, beta, quad=None):
     phi = eval_phi(lam, path, beta, quad)
     lam = as_multipliers(lam, d.kappa)
     lagrange = float(np.dot(lam.lam, d.d[: d.kappa - 1]))
-    hs = np.sum(path.gammas**2, axis=(1, 2))
-    telescoped = float(np.sum(path.inner_x * np.diff(hs)))
-    value = phi.value - lagrange - 0.5 * beta**2 * telescoped
+    value = phi.value - lagrange - 0.5 * beta**2 * path.hs_telescoped()
     rearranged = (
         phi.value
         - lagrange
@@ -202,7 +168,7 @@ def eval_f2(path, beta):
     return 0.5 * beta**2 * (d_sq - path.hs_sq_integral())
 
 
-def _config_field_sum(z, configs):
+def config_field_sum(z, configs):
     """Sum of per-site leaf fields along each configuration.
 
     z: (n_leaves, M, kappa); configs: (n_conf, M) 0-based labels.
@@ -215,12 +181,12 @@ def _config_field_sum(z, configs):
     return acc
 
 
-def _f1_rep(i, configs, lam_full, path, beta, spec, cov_inc, seed):
+def _f1_rep(i, configs, lam_full, beta, spec, cov_inc, seed):
     m = configs.shape[1]
     rng = stream(seed, 0xF2, spec.atoms_per_level, i)
     sample = sample_cascade(spec, rng)
     z = sample_leaf_fields(sample, cov_inc, rng, n_copies=m)
-    fields = _config_field_sum(z, configs)
+    fields = config_field_sum(z, configs)
     lam_term = lam_full[configs].sum(axis=1)
     log_terms = sample.log_leaf_weights[:, None] + beta * fields + lam_term[None, :]
     return float(logsumexp(log_terms) / m)
@@ -244,11 +210,11 @@ def eval_f1_restricted(S, lam, path, beta, reps=200, atoms_per_level=200, seed=0
         raise ValidationError("need at least 2 replicates")
     configs = S - 1
     lam_full = np.append(as_multipliers(lam, kappa).lam, 0.0)
-    spec = CascadeSpec(x=_strict_levels(path), atoms_per_level=atoms_per_level)
-    cov_inc = [2.0 * (path.gammas[p] - path.gammas[p - 1]) for p in range(1, path.r + 1)]
+    spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
+    cov_inc = path.increment_covariances()
     values = np.asarray(
         map_indexed(
-            lambda i: _f1_rep(i, configs, lam_full, path, beta, spec, cov_inc, seed),
+            lambda i: _f1_rep(i, configs, lam_full, beta, spec, cov_inc, seed),
             reps,
             threads,
         )
@@ -261,26 +227,11 @@ def eval_f1_restricted(S, lam, path, beta, reps=200, atoms_per_level=200, seed=0
     )
 
 
-def enumerate_constrained(M, counts):
-    """All label vectors of length M with the given per-state counts."""
-    counts = np.asarray(counts, dtype=int)
-    if counts.sum() != M or np.any(counts < 0):
-        raise ValidationError("counts must be nonnegative and sum to M")
-    kappa = counts.size
-    configs = []
-    for combo in itertools.product(range(1, kappa + 1), repeat=M):
-        arr = np.asarray(combo)
-        if all(np.count_nonzero(arr == k + 1) == counts[k] for k in range(kappa)):
-            configs.append(combo)
-    return np.asarray(configs, dtype=np.int64)
-
-
 def eval_lower_bound(M, delta, path, beta, reps=200, atoms_per_level=200, seed=0, threads=1):
     """The finite-M lower-bound functional f^1 - f^2 at lambda = 0."""
     if M > 12:
         raise ValidationError("M must be at most 12")
-    counts = delta.counts(M)
-    S = enumerate_constrained(M, counts)
+    S = enumerate_configs(M, path.kappa, delta.counts(M))
     f1 = eval_f1_restricted(
         S, np.zeros(path.kappa - 1), path, beta, reps, atoms_per_level, seed, threads
     )

@@ -13,8 +13,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cascade import OverlapArray
-from .core import StateDistribution, _freeze
-from .functional import EvalResult
+from .core import EvalResult, freeze
 from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
 
 ENUM_BUDGET = 20_000_000
@@ -39,70 +38,18 @@ class DisorderInstance:
             raise ValidationError("N must be at least 1")
         if self.g is None:
             rng = stream(self.seed, 0xD15, self.N, self.draw)
-            object.__setattr__(self, "g", _freeze(rng.standard_normal((self.N, self.N))))
+            object.__setattr__(self, "g", freeze(rng.standard_normal((self.N, self.N))))
         else:
             g = np.asarray(self.g, dtype=float)
             if g.shape != (self.N, self.N) or not np.all(np.isfinite(g)):
                 raise ValidationError("g must be a finite N x N matrix")
-            object.__setattr__(self, "g", _freeze(g))
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A length-N vector of state labels in {1..kappa}."""
-
-    sigma: np.ndarray
-    kappa: int
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.int64)
-        if sigma.ndim != 1 or sigma.size < 1:
-            raise ValidationError("sigma must be a nonempty 1-d label vector")
-        if np.min(sigma) < 1 or np.max(sigma) > self.kappa:
-            raise ValidationError("labels must lie in 1..kappa")
-        s = sigma.copy()
-        s.flags.writeable = False
-        object.__setattr__(self, "sigma", s)
-
-    @property
-    def N(self):
-        return self.sigma.size
-
-
-def _labels(sigma):
-    if isinstance(sigma, Configuration):
-        return sigma.sigma
-    return np.asarray(sigma, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Joint empirical state frequencies of two same-length configurations."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValidationError("overlap must be a square matrix")
-        if np.min(e) < -1e-12 or np.max(e) > 1.0 + 1e-12:
-            raise ValidationError("overlap entries must lie in [0, 1]")
-        if abs(e.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"overlap entries sum to {e.sum()!r}, not 1")
-        object.__setattr__(self, "entries", _freeze(e))
-
-    @property
-    def kappa(self):
-        return self.entries.shape[0]
-
-    def trace(self):
-        return float(np.trace(self.entries))
+            object.__setattr__(self, "g", freeze(g))
 
 
 def hamiltonian(g, sigma):
     """(1/sqrt N) sum over all ordered site pairs (including i=j) of
     g_ij 1{sigma_i = sigma_j}."""
-    s = _labels(sigma)
+    s = np.asarray(sigma, dtype=np.int64)
     if s.size != g.N:
         raise ValidationError("configuration length does not match N")
     eq = s[:, None] == s[None, :]
@@ -110,23 +57,27 @@ def hamiltonian(g, sigma):
 
 
 def overlap(a, b, kappa=None):
-    """R^{k,k'} = (1/N) sum_i 1{a_i = k} 1{b_i = k'}."""
-    a = _labels(a)
-    b = _labels(b)
+    """The (kappa, kappa) matrix R^{k,k'} = (1/N) sum_i 1{a_i = k} 1{b_i = k'}."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     if a.size != b.size:
         raise ValidationError("configurations have different lengths")
     if kappa is None:
         kappa = int(max(a.max(), b.max()))
     counts = np.zeros((kappa, kappa))
     np.add.at(counts, (a - 1, b - 1), 1.0)
-    return OverlapMatrix(counts / a.size)
+    return counts / a.size
 
 
 def enumerate_configs(N, kappa, counts=None):
     """All label vectors in {1..kappa}^N, optionally with fixed state counts.
 
-    Returns an (n_conf, N) array of labels.
+    Returns an (n_conf, N) array of labels in lexicographic order.
     """
+    if counts is not None:
+        counts = np.asarray(counts, dtype=int)
+        if counts.shape != (kappa,) or np.any(counts < 0) or counts.sum() != N:
+            raise ValidationError(f"counts must be {kappa} nonnegative integers summing to {N}")
     total = kappa**N
     if total > ENUM_BUDGET:
         raise BudgetError(f"kappa^N = {total} exceeds the enumeration budget {ENUM_BUDGET}")
@@ -137,17 +88,14 @@ def enumerate_configs(N, kappa, counts=None):
         configs[:, i] = rest % kappa + 1
         rest = rest // kappa
     if counts is not None:
-        counts = np.asarray(counts, dtype=int)
         keep = np.ones(total, dtype=bool)
         for k in range(kappa):
             keep &= np.count_nonzero(configs == k + 1, axis=1) == counts[k]
         configs = configs[keep]
-        if configs.shape[0] == 0:
-            raise ValidationError("the constraint set is empty")
     return configs
 
 
-def _config_energies(configs, g):
+def config_energies(configs, g):
     """Hamiltonian values for a whole configuration set, chunked for memory."""
     n_conf, n = configs.shape
     flat = g.ravel() / np.sqrt(n)
@@ -168,7 +116,7 @@ def enumerate_free_energy(N, kappa, beta, n_disorder=200, seed=0, constraint=Non
 
     def one(i):
         g = DisorderInstance(N, seed, draw=i)
-        return float(logsumexp(beta * _config_energies(configs, g.g)) / N)
+        return float(logsumexp(beta * config_energies(configs, g.g)) / N)
 
     values = np.asarray(map_indexed(one, n_disorder, threads))
     return EvalResult(
@@ -216,7 +164,7 @@ def _initial_configuration(counts):
     return np.repeat(np.arange(1, counts.size + 1), counts)
 
 
-def _ti_instance(g, counts, beta, beta_grid, sweeps, burn, rng):
+def _ti_instance(g, counts, beta_grid, sweeps, burn, rng):
     """Thermodynamic integration of <H>/N along a tempered beta ladder."""
     n = g.N
     sqrt_n = np.sqrt(n)
@@ -274,7 +222,7 @@ def mcmc_free_energy(
     def one(i):
         g = DisorderInstance(N, seed, draw=i)
         rng = stream(seed, 0x3C3C, N, i)
-        return _ti_instance(g, counts, beta, beta_grid, sweeps, burn, rng)
+        return _ti_instance(g, counts, beta_grid, sweeps, burn, rng)
 
     results = map_indexed(one, n_disorder, threads)
     values = np.asarray([r[0] for r in results])
@@ -320,7 +268,7 @@ def gibbs_replicas(g, beta, d, n_replicas, method="exact", seed=0, sweeps=300, b
     rng = stream(seed, 0x61BB, g.N, g.draw)
     if method == "exact":
         configs = enumerate_configs(g.N, d.kappa, counts)
-        h = _config_energies(configs, g.g)
+        h = config_energies(configs, g.g)
         logp = beta * h - logsumexp(beta * h)
         picks = rng.choice(configs.shape[0], size=n_replicas, p=np.exp(logp))
         replicas = configs[picks]
@@ -371,7 +319,7 @@ class PerturbationSpec:
         if len(codes) != len(n) or any(c < 0 for c in codes):
             raise ValidationError("need one nonnegative code length per lambda")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lambdas", _freeze(lams))
+        object.__setattr__(self, "lambdas", freeze(lams))
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -386,8 +334,7 @@ class PerturbationSpec:
 
 def perturbation_covariance(spec, R):
     """Product over j of (lambda_j^T R^{hadamard p} lambda_j)^{n_j}."""
-    r = R.entries if isinstance(R, OverlapMatrix) else np.asarray(R, dtype=float)
-    hp = r**spec.p
+    hp = np.asarray(R, dtype=float) ** spec.p
     out = 1.0
     for nj, lam in zip(spec.n, spec.lambdas):
         out *= float(lam @ hp @ lam) ** nj
@@ -396,8 +343,7 @@ def perturbation_covariance(spec, R):
 
 def quadratic_forms(spec, R):
     """The m quadratic forms (lambda_j^T R^{hadamard p} lambda_j)."""
-    r = R.entries if isinstance(R, OverlapMatrix) else np.asarray(R, dtype=float)
-    hp = r**spec.p
+    hp = np.asarray(R, dtype=float) ** spec.p
     return np.array([float(lam @ hp @ lam) for lam in spec.lambdas])
 
 
@@ -482,7 +428,7 @@ def ass_covariance_check(N, M, kappa, n_pairs=3, n_draws=10_000, seed=0):
         )
     checks = []
     for idx, (s1, s2) in enumerate(pairs):
-        r = overlap(s1, s2, kappa).entries
+        r = overlap(s1, s2, kappa)
         draws = stream(seed, 0xA55, 1, idx)
         pair_report = {"pair": idx, "sigma1": s1.tolist(), "sigma2": s2.tolist()}
         if M > 0:

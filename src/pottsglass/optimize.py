@@ -19,10 +19,6 @@ from .functional import QuadratureSpec, eval_parisi
 from .util import ValidationError, map_indexed, stream
 
 
-def _sigmoid(v):
-    return expit(v)
-
-
 def _logit(x):
     return float(np.log(x / (1.0 - x)))
 
@@ -75,7 +71,7 @@ class PathParametrization:
             raise ValidationError(f"expected {self.dim} coordinates, got {theta.size}")
         kappa = self.kappa
         lam = theta[: kappa - 1]
-        x = np.sort(_sigmoid(theta[kappa - 1 : kappa - 1 + self.r]))
+        x = np.sort(expit(theta[kappa - 1 : kappa - 1 + self.r]))
         increments = []
         tri = np.tril_indices(kappa)
         pos = kappa - 1 + self.r

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pottsglass.cli import (
+    _COMMANDS,
     _equal_split_path,
+    _merge_config,
     build_named_path,
     main,
     render_report,
@@ -127,3 +129,73 @@ class TestSubcommandSmoke:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(report["estimates"], np.log(6) / 4, atol=1e-12)
+
+
+def write_config(tmp_path, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    return str(cfg)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["free-energy", "--N", "abc"],
+            ["eval-parisi", "--kappa", "two"],
+            ["cascade-verify", "--seed", "-1"],
+            ["free-energy", "--N", "4", "--kappa", "3", "--d", "0.5,0.5"],
+            ["free-energy", "--method", "mcmc", "--kappa", "2", "--d", "0.25,0.25,0.5"],
+            ["free-energy", "--method", "gibbs"],
+            ["eval-parisi", "--samples", "3"],
+        ],
+        ids=["int", "kappa", "seed", "d-short", "d-long", "method", "unread-flag"],
+    )
+    def test_flags_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,params",
+        [
+            ("free-energy", {"N": "x"}),
+            ("optimize", {"nonneg_gamma": "maybe"}),
+            ("eval-parisi", {"samples": 3}),
+            ("eval-parisi", {"d": [0.5, "half"]}),
+        ],
+        ids=["int", "bool", "unknown", "list"],
+    )
+    def test_config_params_exit_2(self, command, params, tmp_path, capsys):
+        assert main([command, "--config", write_config(tmp_path, params)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_config_seed_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -3}))
+        assert main(["eval-parisi", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text,value", [("false", False), ("true", True), (False, False)])
+    def test_config_switch_is_read_as_written(self, text, value, tmp_path):
+        _, table = _COMMANDS["optimize"]
+        p = _merge_config({"config": write_config(tmp_path, {"nonneg_gamma": text})}, table)
+        assert p["nonneg_gamma"] is value
+
+
+class TestFlagTables:
+    def test_each_subcommand_accepts_only_what_it_reads(self):
+        assert len(_COMMANDS) == 10
+        assert sum(len(table) for _, table in _COMMANDS.values()) == 71
+
+    def test_help_lists_the_table(self, capsys):
+        assert main(["diag-sync", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--bins" in out and "--seed" in out and "--samples" not in out
+
+    def test_config_casts_like_flags(self, tmp_path, capsys):
+        params = {"kappa": "3", "beta": "0", "d": [0.5, 0.25, 0.25], "lambda": "0.1,0.2"}
+        assert main(["eval-parisi", "--config", write_config(tmp_path, params)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["kappa"] == 3 and report["lambda"] == [0.1, 0.2]
+        # beta = 0: log sum_k e^{lambda_k} minus lambda . d
+        expected = np.log(np.exp(0.1) + np.exp(0.2) + 1.0) - (0.1 * 0.5 + 0.2 * 0.25)
+        assert report["value"] == pytest.approx(expected, abs=1e-9)

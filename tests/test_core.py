@@ -5,16 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import random_path, seeded
 from pottsglass.core import (
-    GramViolation,
     MonotonePath,
     StateDistribution,
     as_multipliers,
-    discretization_bound,
-    discretize_path,
-    lift_reduced,
     path_delta,
     round_distribution,
-    validate_gram,
 )
 from pottsglass.util import ValidationError
 
@@ -62,64 +57,6 @@ class TestRoundDistribution:
     def test_already_representable_is_fixed_point(self):
         d = StateDistribution(np.array([0.25, 0.75]))
         np.testing.assert_allclose(round_distribution(d, 4).d, d.d)
-
-
-class TestValidateGram:
-    def test_accepts_psd(self):
-        m = validate_gram(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert m.trace() == 4.0
-        assert m.norm_hs_sq() == 10.0
-        assert m.norm_l1() == 6.0
-
-    def test_asymmetry_reason(self):
-        with pytest.raises(GramViolation) as exc:
-            validate_gram(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        assert exc.value.reason == "asymmetry"
-
-    def test_negative_eigenvalue_reason(self):
-        with pytest.raises(GramViolation) as exc:
-            validate_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert exc.value.reason == "negative eigenvalue"
-
-    def test_negative_entry_reason_under_nonneg_flag(self):
-        m = np.array([[1.0, -0.1], [-0.1, 1.0]])
-        validate_gram(m)  # fine without the flag
-        with pytest.raises(GramViolation) as exc:
-            validate_gram(m, nonneg=True)
-        assert exc.value.reason == "negative entry"
-
-    def test_constraint_mismatch_reason(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        with pytest.raises(GramViolation) as exc:
-            validate_gram(np.array([[0.5, 0.1], [0.1, 0.5]]), d=d)
-        assert exc.value.reason == "constraint mismatch"
-
-    def test_non_square_is_validation_error(self):
-        with pytest.raises(ValidationError):
-            validate_gram(np.ones((2, 3)))
-
-
-class TestLiftReduced:
-    def test_half_half_diagonal(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        full = lift_reduced(d, np.array([[0.5]]))
-        np.testing.assert_allclose(full.entries, np.diag([0.5, 0.5]))
-
-    def test_lifting_identities_hold(self):
-        # a convex mix of diag(d) and the rank-one product matrix is in the
-        # constrained cone; its principal block must lift back to it
-        d = StateDistribution(np.array([0.4, 0.35, 0.25]))
-        m = 0.6 * np.diag(d.d) + 0.4 * np.outer(d.d, d.d)
-        full = lift_reduced(d, m[:2, :2])
-        np.testing.assert_allclose(full.entries, m, atol=1e-12)
-        # row sums of the lifted matrix reproduce d
-        np.testing.assert_allclose(full.entries.sum(axis=1), d.d, atol=1e-12)
-        np.testing.assert_allclose(full.entries.sum(axis=0), d.d, atol=1e-12)
-
-    def test_infeasible_lift_raises(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        with pytest.raises(GramViolation):
-            lift_reduced(d, np.array([[-0.1]]))
 
 
 class TestMultipliers:
@@ -177,12 +114,38 @@ class TestMonotonePath:
         p = MonotonePath.one_step(d, 0.25)
         assert p.hs_sq_integral() == pytest.approx(0.75 * 0.5, abs=1e-15)
 
+    def test_hs_telescoped_matches_integral_form(self):
+        rng = seeded(24, 1)
+        d = StateDistribution(np.array([0.5, 0.3, 0.2]))
+        for r in (1, 2, 3):
+            p = random_path(rng, d, r)
+            expected = float(np.sum(d.d**2)) - p.hs_sq_integral()
+            assert p.hs_telescoped() == pytest.approx(expected, abs=1e-14)
+            assert p.hs_increments().sum() == pytest.approx(float(np.sum(d.d**2)), abs=1e-14)
+
     def test_json_round_trip(self):
         rng = seeded(4, 2)
         d = StateDistribution(np.array([0.5, 0.5]))
         p = random_path(rng, d, 2)
         again = MonotonePath.from_json_dict(p.to_json_dict())
         assert path_delta(p, again) == 0.0
+
+
+class TestIncrementCovariance:
+    def test_value(self):
+        d = StateDistribution(np.array([0.5, 0.5]))
+        p = MonotonePath.one_step(d, 0.4)
+        np.testing.assert_allclose(p.increment_covariances()[0], 2.0 * np.diag(d.d))
+
+    def test_one_per_level(self):
+        rng = seeded(4, 3)
+        d = StateDistribution(np.array([0.6, 0.4]))
+        p = random_path(rng, d, 3)
+        covs = p.increment_covariances()
+        assert covs.shape == (3, 2, 2)
+        for k in range(3):
+            np.testing.assert_array_equal(covs[k], 2.0 * (p.gammas[k + 1] - p.gammas[k]))
+        np.testing.assert_allclose(covs.sum(axis=0), 2.0 * np.diag(d.d), atol=1e-15)
 
 
 class TestPathDelta:
@@ -208,42 +171,3 @@ class TestPathDelta:
         assert path_delta(a, a) == 0.0
         assert path_delta(a, b) == pytest.approx(path_delta(b, a), abs=1e-14)
         assert path_delta(a, c) <= path_delta(a, b) + path_delta(b, c) + 1e-12
-
-
-class TestDiscretize:
-    def test_identity_on_own_grid(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        p = MonotonePath.one_step(d, 0.4)
-        q = discretize_path(p, [0.4])
-        assert path_delta(p, q) == 0.0
-        assert discretization_bound(p, q) == 0.0
-
-    def test_bound_dominates_delta(self):
-        rng = seeded(11, 0)
-        d = StateDistribution(np.array([0.5, 0.5]))
-        for _ in range(10):
-            p = random_path(rng, d, 2)
-            q = discretize_path(p, list(np.linspace(0.25, 0.75, 3)))
-            assert path_delta(p, q) <= discretization_bound(p, q) + 1e-12
-
-    def test_callable_probe_linear_trace(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        probe = lambda x: x * np.diag(d.d)
-        grid = list(np.linspace(0.1, 0.9, 9))
-        q = discretize_path(probe, grid, d=d)
-        bound = discretization_bound(probe, q, d=d)
-        # trace error is at most one cell width; the integral is ~ width/2
-        assert bound == pytest.approx(2 * 0.05, rel=0.1)
-
-    def test_last_anchor_must_be_one(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        p = MonotonePath.one_step(d, 0.4)
-        with pytest.raises(ValidationError):
-            discretize_path(p, [0.5], anchors=[0.5, 0.9])
-
-    def test_nonzero_first_cell_gets_degenerate_level(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        probe = lambda x: np.diag(d.d)  # constant at the endpoint
-        q = discretize_path(probe, [0.5], d=d)
-        assert q.xs[0] == 0.0 and q.xs[1] == 0.0
-        assert np.all(q.gammas[0] == 0.0)

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_path, seeded
-from pottsglass.core import MonotonePath, StateDistribution
+from pottsglass.core import EvalResult, MonotonePath, StateDistribution
 from pottsglass.functional import (
-    EvalResult,
     QuadratureSpec,
-    enumerate_constrained,
     eval_f1_restricted,
     eval_f2,
     eval_lower_bound,
     eval_parisi,
     eval_phi,
     eval_phi_cascade_mc,
-    increment_covariance,
 )
+from pottsglass.model import enumerate_configs
 from pottsglass.util import BudgetError, ValidationError
 
 
@@ -40,20 +38,6 @@ class TestEvalResult:
     def test_json(self):
         r = EvalResult(1.0, 0.1, "cascade-mc", {"reps": 3})
         assert r.to_json_dict()["method"] == "cascade-mc"
-
-
-class TestIncrementCovariance:
-    def test_value(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        p = MonotonePath.one_step(d, 0.4)
-        np.testing.assert_allclose(
-            increment_covariance(p, 1).entries, 2.0 * np.diag(d.d)
-        )
-
-    def test_out_of_range(self):
-        p = MonotonePath.one_step(StateDistribution.uniform(2), 0.4)
-        with pytest.raises(ValidationError):
-            increment_covariance(p, 2)
 
 
 class TestEvalPhi:
@@ -161,23 +145,11 @@ class TestEvalF2:
             assert eval_f2(p, 1.0) == pytest.approx(telescoped, abs=1e-12)
 
 
-class TestEnumerateConstrained:
-    def test_counts(self):
-        s = enumerate_constrained(4, [2, 2])
-        assert s.shape == (6, 4)
-        for row in s:
-            assert np.count_nonzero(row == 1) == 2
-
-    def test_bad_counts(self):
-        with pytest.raises(ValidationError):
-            enumerate_constrained(4, [2, 1])
-
-
 class TestF1Restricted:
     def test_beta_zero_is_log_set_size(self):
         d = StateDistribution(np.array([0.5, 0.5]))
         p = MonotonePath.one_step(d, 0.4)
-        s = enumerate_constrained(4, [2, 2])
+        s = enumerate_configs(4, 2, [2, 2])
         res = eval_f1_restricted(s, [0.0], p, 0.0, reps=4, atoms_per_level=20)
         assert res.value == pytest.approx(np.log(6) / 4, abs=1e-12)
         assert res.std_error <= 1e-12

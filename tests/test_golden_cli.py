@@ -1,0 +1,82 @@
+"""Golden-bytes contract of the command line.
+
+Each call in CALLS must write exactly the stdout bytes stored in
+tests/golden/<name>.out.  The goldens hold floats at full precision, so they
+are compared only under the numpy/scipy versions they were recorded with
+(tests/golden/versions.json); under other versions the test is skipped.
+
+A change that is meant to move a digit re-records the goldens and says why in
+CHANGES.md:
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py tests/golden
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from pottsglass.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CALLS = {
+    "eval-parisi": ["eval-parisi", "--kappa", "3", "--x0", "0.4"],
+    "eval-parisi-config": ["eval-parisi", "--config", str(GOLDEN / "eval-parisi.config.json")],
+    "optimize": ["optimize", "--grid-mesh", "2", "--starts", "2", "--maxiter", "40"],
+    "free-energy-enumerate": ["free-energy", "--N", "6", "--kappa", "3", "--beta", "0.5",
+                              "--samples", "4", "--seed", "2"],
+    "free-energy-enumerate-csv": ["free-energy", "--N", "4", "--kappa", "2", "--beta", "0.5",
+                                  "--samples", "4", "--d", "0.5,0.5", "--format", "csv"],
+    "free-energy-mcmc": ["free-energy", "--method", "mcmc", "--N", "6", "--kappa", "2",
+                         "--beta", "0.5", "--samples", "2"],
+    "bound-check": ["bound-check", "--N", "4", "--kappa", "2", "--beta", "0.5", "--samples", "4",
+                    "--M", "4", "--reps", "4", "--atoms", "20", "--grid-mesh", "2"],
+    "cascade-verify": ["cascade-verify", "--reps", "4", "--atoms", "20", "--mass-samples", "10"],
+    "diag-gg": ["diag-gg", "--arrays", "10", "--atoms", "20"],
+    "diag-sync": ["diag-sync", "--arrays", "10", "--atoms", "20"],
+    "diag-interp": ["diag-interp", "--reps", "4", "--atoms", "20"],
+    "diag-legendre": ["diag-legendre", "--reps", "4", "--atoms", "20"],
+    "ass-check": ["ass-check", "--draws", "1000"],
+}
+
+
+def versions():
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def run(argv):
+    """stdout bytes and exit code of one in-process CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return buf.getvalue().encode(), code
+
+
+def record(directory):
+    directory = Path(directory)
+    for name, argv in CALLS.items():
+        out, code = run(argv)
+        if code != 0:
+            raise SystemExit(f"{name} exited with {code}")
+        (directory / f"{name}.out").write_bytes(out)
+    (directory / "versions.json").write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_report_bytes_match_golden(name):
+    recorded = json.loads((GOLDEN / "versions.json").read_text())
+    if recorded != versions():
+        pytest.skip(f"goldens recorded with {recorded}, running {versions()}")
+    out, code = run(CALLS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    record(sys.argv[1])

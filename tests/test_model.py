@@ -1,12 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import seeded
 from pottsglass.core import StateDistribution
 from pottsglass.model import (
-    Configuration,
     DisorderInstance,
-    OverlapMatrix,
     PerturbationHamiltonian,
     PerturbationSpec,
     _pair_swap_sweep,
@@ -40,15 +40,6 @@ class TestDisorderInstance:
             DisorderInstance(0, seed=0)
 
 
-class TestConfiguration:
-    def test_labels_validated(self):
-        with pytest.raises(ValidationError):
-            Configuration(np.array([0, 1]), kappa=2)
-        with pytest.raises(ValidationError):
-            Configuration(np.array([1, 3]), kappa=2)
-        assert Configuration(np.array([1, 2]), kappa=2).N == 2
-
-
 class TestHamiltonian:
     def test_single_site(self):
         g = DisorderInstance(1, seed=0)
@@ -75,23 +66,19 @@ class TestHamiltonian:
             eq1 = (a[:, None] == a[None, :]).astype(float)
             eq2 = (b[:, None] == b[None, :]).astype(float)
             lhs = float(np.sum(eq1 * eq2)) / n
-            r = overlap(a, b, kappa).entries
+            r = overlap(a, b, kappa)
             assert lhs == pytest.approx(n * float(np.sum(r**2)), abs=1e-12)
 
 
 class TestOverlap:
     def test_small_example(self):
         r = overlap([1, 2, 2, 1], [1, 1, 2, 2], kappa=2)
-        np.testing.assert_allclose(r.entries, 0.25)
-        assert r.trace() == pytest.approx(0.5)
+        np.testing.assert_allclose(r, 0.25)
+        assert np.trace(r) == pytest.approx(0.5)
 
     def test_self_overlap_is_diagonal(self):
         r = overlap([1, 1, 2], [1, 1, 2], kappa=2)
-        np.testing.assert_allclose(r.entries, np.diag([2 / 3, 1 / 3]))
-
-    def test_matrix_validation(self):
-        with pytest.raises(ValidationError):
-            OverlapMatrix(np.array([[0.7, 0.0], [0.0, 0.7]]))
+        np.testing.assert_allclose(r, np.diag([2 / 3, 1 / 3]))
 
 
 class TestEnumerateConfigs:
@@ -111,6 +98,32 @@ class TestEnumerateConfigs:
     def test_budget(self):
         with pytest.raises(BudgetError):
             enumerate_configs(16, 3)
+
+    @pytest.mark.parametrize(
+        "N,counts",
+        [(4, [2, 2]), (9, [3, 3, 3]), (12, [6, 6]), (6, [1, 2, 3])],
+        ids=["4-22", "9-333", "12-66", "6-123"],
+    )
+    def test_constrained_matches_filtered_product(self, N, counts):
+        # every label vector with the given counts, in itertools.product order
+        kappa = len(counts)
+        rows = [
+            c
+            for c in itertools.product(range(1, kappa + 1), repeat=N)
+            if all(c.count(k + 1) == counts[k] for k in range(kappa))
+        ]
+        c = enumerate_configs(N, kappa, counts)
+        assert c.dtype == np.int64
+        assert np.array_equal(c, np.asarray(rows, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "N,kappa,counts",
+        [(4, 2, [2, 1]), (4, 2, [2, 1, 1]), (3, 3, [2, 1]), (3, 2, [4, -1])],
+        ids=["wrong-sum", "too-long", "too-short", "negative"],
+    )
+    def test_bad_counts(self, N, kappa, counts):
+        with pytest.raises(ValidationError):
+            enumerate_configs(N, kappa, counts)
 
 
 class TestEnumerateFreeEnergy:
@@ -193,7 +206,7 @@ class TestOverlapArrayFromReplicas:
         for a in range(4):
             for b in range(4):
                 np.testing.assert_allclose(
-                    arr.blocks[a, b], overlap(reps[a], reps[b], 2).entries, atol=1e-12
+                    arr.blocks[a, b], overlap(reps[a], reps[b], 2), atol=1e-12
                 )
 
 
@@ -215,11 +228,11 @@ class TestPerturbationSpec:
     def test_covariance_oracles(self):
         r = overlap([1, 2, 2, 1], [1, 1, 2, 1], kappa=2)
         e1 = PerturbationSpec(p=1, n=(1,), lambdas=np.array([[1.0, 0.0]]))
-        assert perturbation_covariance(e1, r) == pytest.approx(float(r.entries[0, 0]))
+        assert perturbation_covariance(e1, r) == pytest.approx(float(r[0, 0]))
         ones = PerturbationSpec(p=1, n=(3,), lambdas=np.ones((1, 2)))
         assert perturbation_covariance(ones, r) == pytest.approx(1.0)
         sq = PerturbationSpec(p=2, n=(1,), lambdas=np.ones((1, 2)))
-        assert perturbation_covariance(sq, r) == pytest.approx(float(np.sum(r.entries**2)))
+        assert perturbation_covariance(sq, r) == pytest.approx(float(np.sum(r**2)))
 
     def test_quadratic_forms_consistency(self):
         r = overlap([1, 2, 2, 1], [1, 1, 2, 1], kappa=2)
