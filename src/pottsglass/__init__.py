@@ -4,7 +4,6 @@ variational functional, and replica-structure diagnostics."""
 from .cascade import (
     CascadeSample,
     CascadeSpec,
-    OverlapArray,
     coincidence_masses,
     sample_cascade,
     sample_overlap_array,
@@ -14,6 +13,7 @@ from .core import (
     EvalResult,
     LagrangeMultipliers,
     MonotonePath,
+    OverlapArray,
     StateDistribution,
     path_delta,
     round_distribution,

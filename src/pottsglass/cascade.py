@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .core import OverlapArray, psd_factor
 from .util import ValidationError, jackknife_se, map_indexed, stream
 
 
@@ -105,8 +106,8 @@ class CascadeSample:
         return np.append(-np.diff(a), a[-1])
 
 
-def sample_cascade(spec, rng_or_seed=0):
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else stream(rng_or_seed, 0xCA5)
+def sample_cascade(spec, rng):
+    """One truncated cascade drawn from the Generator rng."""
     k = spec.atoms_per_level
     levels = []
     log_leaf = np.zeros(1)
@@ -121,85 +122,34 @@ def sample_cascade(spec, rng_or_seed=0):
     return CascadeSample(spec, tuple(levels), leaf)
 
 
-def sample_leaf_fields(sample, cov_increments, rng, n_copies=None):
+def sample_leaf_fields(sample, cov_increments, rng, n_copies=1):
     """Gaussian leaf fields with covariance sum of increments up to the meet.
 
-    cov_increments[p] is the kappa x kappa covariance of the level-(p+1)
-    increment.  Returns (n_leaves, kappa) or (n_leaves, n_copies, kappa).
+    cov_increments[p] is the dim x dim covariance of the level-(p+1)
+    increment; a scalar field is the dim = 1 case.  Returns an array of shape
+    (n_leaves, n_copies, dim) with independent copies.
     """
     k = sample.k
     r = sample.r
     if len(cov_increments) != r:
         raise ValidationError("need one covariance increment per level")
-    kappa = np.asarray(cov_increments[0]).shape[0]
-    copies = 1 if n_copies is None else n_copies
-    total = np.zeros((sample.n_leaves, copies, kappa))
+    dim = np.asarray(cov_increments[0]).shape[0]
+    total = np.zeros((sample.n_leaves, n_copies, dim))
     for p in range(1, r + 1):
-        c = np.asarray(cov_increments[p - 1], dtype=float)
-        lam, u = np.linalg.eigh(0.5 * (c + c.T))
-        lam = np.clip(lam, 0.0, None)
-        factor = u * np.sqrt(lam)
-        g = rng.standard_normal((k**p, copies, kappa)) @ factor.T
+        _, factor = psd_factor(np.asarray(cov_increments[p - 1], dtype=float))
+        g = rng.standard_normal((k**p, n_copies, dim)) @ factor.T
         total += np.repeat(g, k ** (r - p), axis=0)
-    if n_copies is None:
-        return total[:, 0, :]
     return total
 
 
-def sample_scalar_fields(sample, var_increments, rng):
-    """Scalar leaf fields; variance of the meet is the partial increment sum."""
-    k = sample.k
-    r = sample.r
-    total = np.zeros(sample.n_leaves)
-    for p in range(1, r + 1):
-        v = max(float(var_increments[p - 1]), 0.0)
-        g = np.sqrt(v) * rng.standard_normal(k**p)
-        total += np.repeat(g, k ** (r - p))
-    return total
-
-
-@dataclass(frozen=True)
-class OverlapArray:
-    """Replica-pair overlap data: trace array and kappa x kappa blocks."""
-
-    traces: np.ndarray  # (n, n)
-    blocks: np.ndarray  # (n, n, kappa, kappa)
-
-    @property
-    def n(self):
-        return self.traces.shape[0]
-
-    @property
-    def kappa(self):
-        return self.blocks.shape[2]
-
-    def off_diagonal_blocks(self):
-        n = self.n
-        iu = np.triu_indices(n, k=1)
-        return self.blocks[iu], self.traces[iu]
-
-    def to_json_dict(self):
-        return {
-            "n": int(self.n),
-            "kappa": int(self.kappa),
-            "traces": self.traces.tolist(),
-            "blocks": self.blocks.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(np.asarray(obj["traces"], dtype=float), np.asarray(obj["blocks"], dtype=float))
-
-
-def sample_overlap_array(sample, q, phi, n, rng_or_seed=0):
+def sample_overlap_array(sample, q, phi, n, rng):
     """Ultrametric overlap array from n i.i.d. leaves of the cascade.
 
     q maps meet depth to trace (q_0 = 0 < ... < q_r); phi maps trace to the
-    overlap block.
+    overlap block.  The leaves are drawn from the Generator rng.
     """
     if n < 2:
         raise ValidationError("need at least 2 replicas")
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else stream(rng_or_seed, 0x0A7)
     q = np.asarray(q, dtype=float)
     if q.size != sample.r + 1 or np.any(np.diff(q) < 0):
         raise ValidationError("q must be nondecreasing with one value per depth 0..r")
@@ -215,12 +165,12 @@ def sample_overlap_array(sample, q, phi, n, rng_or_seed=0):
 
 def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
     spec = CascadeSpec(tuple(path.inner_x), k)
-    var_inc = path.hs_increments()
+    var_inc = path.hs_increments()[:, None, None]
 
     def one(i):
         rng = stream(seed, 0x11D, k, i)
         sample = sample_cascade(spec, rng)
-        y = sample_scalar_fields(sample, var_inc, rng)
+        y = sample_leaf_fields(sample, var_inc, rng)[:, 0, 0]
         return float(
             logsumexp(sample.log_leaf_weights + beta * np.sqrt(scale_n) * y) / scale_n
         )

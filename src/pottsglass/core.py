@@ -1,4 +1,5 @@
-"""Domain types: state distributions, monotone matrix paths, evaluation results.
+"""Domain types: state distributions, monotone matrix paths, overlap arrays,
+evaluation results.
 
 Paths are stored as step functions on cells (x_{p-1}, x_p], constant equal to
 gamma_p on each cell, with value 0 at 0.  Everything is immutable after
@@ -23,6 +24,13 @@ def freeze(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def psd_factor(cov):
+    """Eigenvalues of the symmetric part of a square array and the factor
+    u sqrt(max(lambda, 0)), whose outer product is its PSD projection."""
+    lam, u = np.linalg.eigh(0.5 * (cov + cov.T))
+    return lam, u * np.sqrt(np.clip(lam, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,39 @@ class MonotonePath:
             np.asarray(obj["x"], dtype=float),
             np.asarray(obj["gammas"], dtype=float),
         )
+
+
+@dataclass(frozen=True)
+class OverlapArray:
+    """Replica-pair overlap data: trace array and kappa x kappa blocks."""
+
+    traces: np.ndarray  # (n, n)
+    blocks: np.ndarray  # (n, n, kappa, kappa)
+
+    @property
+    def n(self):
+        return self.traces.shape[0]
+
+    @property
+    def kappa(self):
+        return self.blocks.shape[2]
+
+    def off_diagonal_blocks(self):
+        n = self.n
+        iu = np.triu_indices(n, k=1)
+        return self.blocks[iu], self.traces[iu]
+
+    def to_json_dict(self):
+        return {
+            "n": int(self.n),
+            "kappa": int(self.kappa),
+            "traces": self.traces.tolist(),
+            "blocks": self.blocks.tolist(),
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj):
+        return cls(np.asarray(obj["traces"], dtype=float), np.asarray(obj["blocks"], dtype=float))
 
 
 def _check_same_space(a, b):

@@ -7,14 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .cascade import (
-    CascadeSpec,
-    OverlapArray,
-    sample_cascade,
-    sample_leaf_fields,
-    sample_scalar_fields,
-)
-from .core import round_distribution
+from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
+from .core import OverlapArray, round_distribution
 from .functional import config_field_sum, eval_f1_restricted, eval_phi
 from .model import (
     DisorderInstance,
@@ -164,7 +158,7 @@ def interpolation_curve(
     configs = enumerate_configs(N, kappa, counts)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
     cov_inc = path.increment_covariances()
-    var_inc = path.hs_increments()
+    var_inc = path.hs_increments()[:, None, None]
     sqrt_n = np.sqrt(N)
 
     def one(i):
@@ -172,7 +166,7 @@ def interpolation_curve(
         rng = stream(seed, 0x17E, i)
         sample = sample_cascade(spec, rng)
         z = sample_leaf_fields(sample, cov_inc, rng, n_copies=N)
-        y = sample_scalar_fields(sample, var_inc, rng)
+        y = sample_leaf_fields(sample, var_inc, rng)[:, 0, 0]
         h = config_energies(configs, g.g)
         zterm = config_field_sum(z, configs - 1)
         logv = sample.log_leaf_weights

@@ -5,6 +5,8 @@ Phi is computed two ways: exact backward recursion with tensor Gauss-Hermite
 quadrature in the eigenbasis of each increment covariance, and truncated
 cascade Monte Carlo.  The quadrature route is deterministic and is the
 optimizer's objective; the Monte Carlo route is the independent cross-check.
+It is the restricted-set cascade average with M = 1 over the kappa one-site
+configurations, and both run through one replicate kernel.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
-from .core import EvalResult, as_multipliers
+from .core import EvalResult, as_multipliers, psd_factor
 from .model import enumerate_configs
 from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
 
@@ -41,7 +43,7 @@ def _gh_nodes(cov, nodes_per_dim, rank_tolerance):
     covariance, restricted to directions above the rank tolerance."""
     cov = np.asarray(cov, dtype=float)
     kappa = cov.shape[0]
-    lam, u = np.linalg.eigh(0.5 * (cov + cov.T))
+    lam, factor = psd_factor(cov)
     keep = lam > rank_tolerance
     rank = int(keep.sum())
     if rank == 0:
@@ -50,8 +52,7 @@ def _gh_nodes(cov, nodes_per_dim, rank_tolerance):
     grids = np.array(list(itertools.product(t, repeat=rank)))
     logw = np.log(np.array(list(itertools.product(w, repeat=rank)))).sum(axis=1)
     logw -= logsumexp(logw)
-    scale = u[:, keep] * np.sqrt(lam[keep])
-    points = (np.sqrt(2.0) * grids) @ scale.T
+    points = (np.sqrt(2.0) * grids) @ factor[:, keep].T
     return points, logw
 
 
@@ -100,34 +101,13 @@ def eval_phi(lam, path, beta, quad=None):
     )
 
 
-def _cascade_phi_rep(i, lam_full, beta, spec, cov_inc, seed):
-    rng = stream(seed, 0xF1, spec.atoms_per_level, i)
-    sample = sample_cascade(spec, rng)
-    z = sample_leaf_fields(sample, cov_inc, rng)
-    per_leaf = logsumexp(beta * z + lam_full[None, :], axis=1)
-    return float(logsumexp(sample.log_leaf_weights + per_leaf))
-
-
 def eval_phi_cascade_mc(lam, path, beta, reps=200, atoms_per_level=200, seed=0, threads=1):
-    """Monte Carlo Phi over truncated cascades with hierarchical leaf fields."""
-    if reps < 2:
-        raise ValidationError("need at least 2 replicates")
-    kappa = path.kappa
-    lam_full = np.append(as_multipliers(lam, kappa).lam, 0.0)
-    spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
-    cov_inc = path.increment_covariances()
-    values = np.asarray(
-        map_indexed(
-            lambda i: _cascade_phi_rep(i, lam_full, beta, spec, cov_inc, seed),
-            reps,
-            threads,
-        )
-    )
-    return EvalResult(
-        float(values.mean()),
-        jackknife_se(values),
-        "cascade-mc",
-        {"reps": reps, "atoms_per_level": atoms_per_level, "leaves": atoms_per_level**path.r},
+    """Monte Carlo Phi over truncated cascades with hierarchical leaf fields:
+    the cascade average with M = 1 over the kappa one-site configurations."""
+    one_site = np.arange(path.kappa)[:, None]
+    return _cascade_mc(
+        0xF1, one_site, lam, path, beta, reps, atoms_per_level, seed, threads,
+        {"leaves": atoms_per_level**path.r},
     )
 
 
@@ -138,8 +118,8 @@ def eval_parisi(lam, d, path, beta, quad=None):
     """
     if np.max(np.abs(np.asarray(d.d) - path.d.d)) > 1e-10:
         raise ValidationError("distribution does not match the path endpoint")
-    phi = eval_phi(lam, path, beta, quad)
     lam = as_multipliers(lam, d.kappa)
+    phi = eval_phi(lam, path, beta, quad)
     lagrange = float(np.dot(lam.lam, d.d[: d.kappa - 1]))
     value = phi.value - lagrange - 0.5 * beta**2 * path.hs_telescoped()
     rearranged = (
@@ -181,15 +161,32 @@ def config_field_sum(z, configs):
     return acc
 
 
-def _f1_rep(i, configs, lam_full, beta, spec, cov_inc, seed):
+def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, threads, diagnostics):
+    """Replicate mean and jackknife error of the cascade average
+    (1/M) log sum_alpha v_alpha sum_sigma exp(sum_i beta z_{i,sigma_i}(alpha) + lambda_{sigma_i})
+    over the rows sigma of configs, an (n_conf, M) array of 0-based labels.
+
+    Replicate i draws its cascade and fields from stream(seed, tag, K, i).
+    """
+    if reps < 2:
+        raise ValidationError("need at least 2 replicates")
     m = configs.shape[1]
-    rng = stream(seed, 0xF2, spec.atoms_per_level, i)
-    sample = sample_cascade(spec, rng)
-    z = sample_leaf_fields(sample, cov_inc, rng, n_copies=m)
-    fields = config_field_sum(z, configs)
+    lam_full = np.append(as_multipliers(lam, path.kappa).lam, 0.0)
     lam_term = lam_full[configs].sum(axis=1)
-    log_terms = sample.log_leaf_weights[:, None] + beta * fields + lam_term[None, :]
-    return float(logsumexp(log_terms) / m)
+    spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
+    cov_inc = path.increment_covariances()
+
+    def one(i):
+        rng = stream(seed, tag, atoms_per_level, i)
+        sample = sample_cascade(spec, rng)
+        z = sample_leaf_fields(sample, cov_inc, rng, n_copies=m)
+        fields = config_field_sum(z, configs)
+        log_terms = sample.log_leaf_weights[:, None] + beta * fields + lam_term[None, :]
+        return float(logsumexp(log_terms) / m)
+
+    values = np.asarray(map_indexed(one, reps, threads))
+    diagnostics = {"reps": reps, "atoms_per_level": atoms_per_level, **diagnostics}
+    return EvalResult(float(values.mean()), jackknife_se(values), "cascade-mc", diagnostics)
 
 
 def eval_f1_restricted(S, lam, path, beta, reps=200, atoms_per_level=200, seed=0, threads=1):
@@ -200,30 +197,13 @@ def eval_f1_restricted(S, lam, path, beta, reps=200, atoms_per_level=200, seed=0
     S = np.asarray(S, dtype=np.int64)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ValidationError("S must be a nonempty (n_conf, M) label array")
-    m = S.shape[1]
-    if m > 12:
+    if S.shape[1] > 12:
         raise ValidationError("M must be at most 12 for enumerable sets")
-    kappa = path.kappa
-    if np.min(S) < 1 or np.max(S) > kappa:
+    if np.min(S) < 1 or np.max(S) > path.kappa:
         raise ValidationError("labels must lie in 1..kappa")
-    if reps < 2:
-        raise ValidationError("need at least 2 replicates")
-    configs = S - 1
-    lam_full = np.append(as_multipliers(lam, kappa).lam, 0.0)
-    spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
-    cov_inc = path.increment_covariances()
-    values = np.asarray(
-        map_indexed(
-            lambda i: _f1_rep(i, configs, lam_full, beta, spec, cov_inc, seed),
-            reps,
-            threads,
-        )
-    )
-    return EvalResult(
-        float(values.mean()),
-        jackknife_se(values),
-        "cascade-mc",
-        {"reps": reps, "atoms_per_level": atoms_per_level, "set_size": int(S.shape[0])},
+    return _cascade_mc(
+        0xF2, S - 1, lam, path, beta, reps, atoms_per_level, seed, threads,
+        {"set_size": int(S.shape[0])},
     )
 
 

@@ -7,13 +7,12 @@ constraint-preserving Metropolis with thermodynamic integration.
 """
 
 from dataclasses import dataclass
-from math import lgamma
+from math import factorial, lgamma, prod
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .cascade import OverlapArray
-from .core import EvalResult, freeze
+from .core import EvalResult, OverlapArray, freeze, psd_factor
 from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
 
 ENUM_BUDGET = 20_000_000
@@ -56,42 +55,54 @@ def hamiltonian(g, sigma):
     return float(np.sum(g.g[eq]) / np.sqrt(g.N))
 
 
-def overlap(a, b, kappa=None):
+def _one_hot(labels, kappa):
+    """(..., kappa) indicators 1{label = k} of labels in 1..kappa."""
+    return (labels[..., None] == np.arange(1, kappa + 1)).astype(float)
+
+
+def overlap(a, b, kappa):
     """The (kappa, kappa) matrix R^{k,k'} = (1/N) sum_i 1{a_i = k} 1{b_i = k'}."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.size != b.size:
         raise ValidationError("configurations have different lengths")
-    if kappa is None:
-        kappa = int(max(a.max(), b.max()))
-    counts = np.zeros((kappa, kappa))
-    np.add.at(counts, (a - 1, b - 1), 1.0)
-    return counts / a.size
+    if min(a.min(), b.min()) < 1 or max(a.max(), b.max()) > kappa:
+        raise ValidationError(f"labels must lie in 1..{kappa}")
+    return np.einsum("ik,il->kl", _one_hot(a, kappa), _one_hot(b, kappa)) / a.size
 
 
 def enumerate_configs(N, kappa, counts=None):
     """All label vectors in {1..kappa}^N, optionally with fixed state counts.
 
-    Returns an (n_conf, N) array of labels in lexicographic order.
+    Returns an (n_conf, N) array of labels in lexicographic order.  Only
+    prefixes that can still meet the counts are extended, and the budget is
+    checked against the number of rows returned.
     """
-    if counts is not None:
-        counts = np.asarray(counts, dtype=int)
+    if counts is None:
+        total = kappa**N
+        room = np.full((1, kappa), N, dtype=np.int64)
+    else:
+        counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (kappa,) or np.any(counts < 0) or counts.sum() != N:
             raise ValidationError(f"counts must be {kappa} nonnegative integers summing to {N}")
-    total = kappa**N
+        total = factorial(N) // prod(factorial(int(c)) for c in counts)
+        room = counts[None, :]
     if total > ENUM_BUDGET:
-        raise BudgetError(f"kappa^N = {total} exceeds the enumeration budget {ENUM_BUDGET}")
-    idx = np.arange(total, dtype=np.int64)
-    configs = np.empty((total, N), dtype=np.int64)
-    rest = idx
+        raise BudgetError(f"{total} configurations exceed the enumeration budget {ENUM_BUDGET}")
+    # grow the prefixes site by site; row-major nonzero lists each prefix's
+    # admissible next labels in ascending order, which keeps the rows sorted
+    step = np.eye(kappa, dtype=np.int64)
+    parents, labels = [], []
+    for _ in range(N):
+        parent, label = np.nonzero(room)
+        room = room[parent] - step[label]
+        parents.append(parent)
+        labels.append(label)
+    configs = np.empty((room.shape[0], N), dtype=np.int64)
+    row = np.arange(room.shape[0])
     for i in range(N - 1, -1, -1):
-        configs[:, i] = rest % kappa + 1
-        rest = rest // kappa
-    if counts is not None:
-        keep = np.ones(total, dtype=bool)
-        for k in range(kappa):
-            keep &= np.count_nonzero(configs == k + 1, axis=1) == counts[k]
-        configs = configs[keep]
+        configs[:, i] = labels[i][row] + 1
+        row = parents[i][row]
     return configs
 
 
@@ -250,7 +261,7 @@ def overlap_array_from_replicas(replicas, kappa):
     """Pairwise overlap traces and blocks for an (n, N) replica label array."""
     replicas = np.asarray(replicas, dtype=np.int64)
     n, n_sites = replicas.shape
-    onehot = (replicas[:, :, None] == np.arange(1, kappa + 1)[None, None, :]).astype(float)
+    onehot = _one_hot(replicas, kappa)
     blocks = np.einsum("aik,bil->abkl", onehot, onehot) / n_sites
     traces = np.trace(blocks, axis1=2, axis2=3)
     return OverlapArray(traces, blocks)
@@ -389,8 +400,7 @@ class PerturbationHamiltonian:
             for a in range(n_conf):
                 for b in range(n_conf):
                     cov[a, b] = perturbation_covariance(spec, overlaps.blocks[a, b])
-            lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
-            factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+            _, factor = psd_factor(cov)
             h = factor @ stream(seed, 0x9E7, t).standard_normal(n_conf)
             self.components.append(h)
             total += 2.0 ** (-spec.j_index) * u[t] * h
@@ -434,10 +444,8 @@ def ass_covariance_check(N, M, kappa, n_pairs=3, n_draws=10_000, seed=0):
         if M > 0:
             # local fields at cavity site 1, shared couplings across replicas
             c = draws.standard_normal((n_draws, N)) + draws.standard_normal((n_draws, N))
-            onehot1 = (s1[:, None] == np.arange(1, kappa + 1)).astype(float)
-            onehot2 = (s2[:, None] == np.arange(1, kappa + 1)).astype(float)
-            z1 = c @ onehot1 / np.sqrt(N + M)
-            z2 = c @ onehot2 / np.sqrt(N + M)
+            z1 = c @ _one_hot(s1, kappa) / np.sqrt(N + M)
+            z2 = c @ _one_hot(s2, kappa) / np.sqrt(N + M)
             z_err = np.zeros((kappa, kappa))
             z_se = np.zeros((kappa, kappa))
             target_z = 2.0 * N / (N + M) * r

@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from .core import PSD_TOL, MonotonePath, StateDistribution
-from .functional import QuadratureSpec, eval_parisi
+from .functional import eval_parisi
 from .util import ValidationError, map_indexed, stream
 
 
@@ -115,7 +115,7 @@ class OptimizerReport:
         }
 
 
-def _objective(param, beta, quad, nonneg_gamma, counter):
+def _objective(param, beta, nonneg_gamma, counter):
     kappa = param.kappa
     base = np.log(max(kappa, 2)) + beta**2 + 1.0
 
@@ -128,7 +128,7 @@ def _objective(param, beta, quad, nonneg_gamma, counter):
             counter["rejections"] += 1
             mag = -float(np.min(path.gammas))
             return base + mag + mag**2
-        return eval_parisi(lam, param.d, path, beta, quad).value
+        return eval_parisi(lam, param.d, path, beta).value
 
     return fn
 
@@ -152,17 +152,15 @@ def inner_minimize(d, r, beta, config=None, seed=0):
     config = dict(config or {})
     starts = int(config.get("starts", 8))
     maxiter = int(config.get("maxiter", 200))
-    quad = config.get("quad") or QuadratureSpec()
     nonneg_gamma = bool(config.get("nonneg_gamma", False))
     threads = int(config.get("threads", 1))
-    nest_start = bool(config.get("nest_start", True))
     if starts < 1:
         raise ValidationError("need at least one start")
     param = PathParametrization(d, r)
     counter = {"rejections": 0}
-    fn = _objective(param, beta, quad, nonneg_gamma, counter)
+    fn = _objective(param, beta, nonneg_gamma, counter)
     nested_theta = None
-    if nest_start and r > 1:
+    if r > 1:
         sub_config = dict(config)
         sub_config["starts"] = max(2, starts // 2)
         nested_theta = _embed_theta(
@@ -190,7 +188,7 @@ def inner_minimize(d, r, beta, config=None, seed=0):
     lam, path, _ = param.decode(theta)
     if path is None:
         raise ValidationError("no feasible point found by any start")
-    clean = eval_parisi(lam, d, path, beta, quad).value
+    clean = eval_parisi(lam, d, path, beta).value
     start_stats = tuple(
         {"start": s, "value": v, "iterations": nit} for s, (v, _, nit) in enumerate(results)
     )

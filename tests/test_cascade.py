@@ -10,9 +10,9 @@ from pottsglass.cascade import (
     sample_cascade,
     sample_leaf_fields,
     sample_overlap_array,
-    sample_scalar_fields,
     verify_y_identity,
 )
+from pottsglass import core
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.util import ValidationError
 
@@ -55,8 +55,8 @@ class TestSampleCascade:
 
     def test_seed_reproducibility(self):
         spec = CascadeSpec((0.4,), atoms_per_level=8)
-        a = sample_cascade(spec, 7)
-        b = sample_cascade(spec, 7)
+        a = sample_cascade(spec, seeded(7, 0))
+        b = sample_cascade(spec, seeded(7, 0))
         np.testing.assert_array_equal(a.leaf_weights, b.leaf_weights)
 
 
@@ -124,21 +124,39 @@ class TestLeafFields:
         cov00 = np.einsum("ck,cl->kl", z[0], z[0]) / z.shape[1]
         np.testing.assert_allclose(cov00, c1 + c2, atol=0.03)
 
+    def test_default_is_one_copy(self):
+        s = sample_cascade(CascadeSpec((0.3, 0.6), atoms_per_level=3), seeded(6, 4))
+        z = sample_leaf_fields(s, [np.eye(2), np.eye(2)], seeded(6, 5))
+        assert z.shape == (9, 1, 2)
+
     def test_wrong_increment_count_raises(self):
         s = sample_cascade(CascadeSpec((0.5,), atoms_per_level=2), seeded(6, 2))
         with pytest.raises(ValidationError):
             sample_leaf_fields(s, [np.eye(2), np.eye(2)], seeded(6, 3))
 
     def test_scalar_fields_variance_structure(self):
+        # a scalar field is the 1 x 1 case of the sampler
         spec = CascadeSpec((0.4,), atoms_per_level=3)
         s = sample_cascade(spec, seeded(7, 0))
-        rng = seeded(7, 1)
-        draws = np.array([sample_scalar_fields(s, [0.8], rng) for _ in range(20_000)])
+        draws = sample_leaf_fields(s, [[[0.8]]], seeded(7, 1), n_copies=20_000)[:, :, 0].T
         var = draws.var(axis=0)
         np.testing.assert_allclose(var, 0.8, atol=0.04)
         # distinct leaves at meet depth 0 are independent
         cov = np.mean(draws[:, 0] * draws[:, 1])
         assert abs(cov) <= 0.03
+
+    def test_scalar_fields_scale_the_level_draws(self):
+        # per level: sqrt(v) times the standard normal draws, bit for bit
+        spec = CascadeSpec((0.3, 0.6), atoms_per_level=4)
+        s = sample_cascade(spec, seeded(7, 2))
+        var = np.array([0.3, 0.45])
+        y = sample_leaf_fields(s, var[:, None, None], seeded(7, 3))[:, 0, 0]
+        rng = seeded(7, 3)
+        expected = np.zeros(16)
+        for p in (1, 2):
+            g = np.sqrt(var[p - 1]) * rng.standard_normal(4**p)
+            expected += np.repeat(g, 4 ** (2 - p))
+        np.testing.assert_array_equal(y, expected)
 
 
 class TestOverlapArray:
@@ -177,14 +195,17 @@ class TestOverlapArray:
         spec = CascadeSpec((0.5,), atoms_per_level=4)
         s = sample_cascade(spec, seeded(8, 2))
         with pytest.raises(ValidationError):
-            sample_overlap_array(s, [0.0, 0.3, 0.5], lambda t: np.eye(2), 3)
+            sample_overlap_array(s, [0.0, 0.3, 0.5], lambda t: np.eye(2), 3, seeded(8, 4))
         with pytest.raises(ValidationError):
-            sample_overlap_array(s, [0.5, 0.2], lambda t: np.eye(2), 3)
+            sample_overlap_array(s, [0.5, 0.2], lambda t: np.eye(2), 3, seeded(8, 4))
 
     def test_needs_two_replicas(self):
         s = sample_cascade(CascadeSpec((0.5,), atoms_per_level=4), seeded(8, 3))
         with pytest.raises(ValidationError):
-            sample_overlap_array(s, [0.0, 0.5], lambda t: np.eye(2), 1)
+            sample_overlap_array(s, [0.0, 0.5], lambda t: np.eye(2), 1, seeded(8, 4))
+
+    def test_type_lives_in_core(self):
+        assert OverlapArray is core.OverlapArray
 
 
 class TestYIdentity:

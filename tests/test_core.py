@@ -9,6 +9,7 @@ from pottsglass.core import (
     StateDistribution,
     as_multipliers,
     path_delta,
+    psd_factor,
     round_distribution,
 )
 from pottsglass.util import ValidationError
@@ -146,6 +147,24 @@ class TestIncrementCovariance:
         for k in range(3):
             np.testing.assert_array_equal(covs[k], 2.0 * (p.gammas[k + 1] - p.gammas[k]))
         np.testing.assert_allclose(covs.sum(axis=0), 2.0 * np.diag(d.d), atol=1e-15)
+
+
+class TestPsdFactor:
+    def test_factor_reproduces_psd_matrix(self):
+        a = seeded(4, 4).standard_normal((3, 3))
+        cov = a @ a.T
+        lam, factor = psd_factor(cov)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(cov))
+        np.testing.assert_allclose(factor @ factor.T, cov, atol=1e-12)
+
+    def test_negative_directions_are_dropped(self):
+        lam, factor = psd_factor(np.diag([2.0, -1.0]))
+        np.testing.assert_array_equal(lam, [-1.0, 2.0])
+        np.testing.assert_allclose(factor @ factor.T, np.diag([2.0, 0.0]))
+
+    def test_uses_the_symmetric_part(self):
+        lam, factor = psd_factor(np.array([[1.0, 0.4], [0.0, 1.0]]))
+        np.testing.assert_allclose(factor @ factor.T, [[1.0, 0.2], [0.2, 1.0]])
 
 
 class TestPathDelta:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import random_path, seeded
+from pottsglass.cascade import CascadeSpec, sample_cascade, sample_leaf_fields
 from pottsglass.core import EvalResult, MonotonePath, StateDistribution
 from pottsglass.functional import (
     QuadratureSpec,
@@ -13,7 +15,7 @@ from pottsglass.functional import (
     eval_phi_cascade_mc,
 )
 from pottsglass.model import enumerate_configs
-from pottsglass.util import BudgetError, ValidationError
+from pottsglass.util import BudgetError, ValidationError, stream
 
 
 class TestQuadratureSpec:
@@ -93,6 +95,25 @@ class TestEvalPhi:
         mc2 = eval_phi_cascade_mc([0.2], p, 1.0, reps=120, atoms_per_level=300, seed=1)
         allowance = abs(mc.value - mc2.value)
         assert abs(mc.value - quad_value) <= 4.0 * mc.std_error + allowance + 1e-3
+
+    def test_cascade_mc_is_the_one_site_average(self):
+        # per leaf: log sum_k exp(beta z_k + lambda_k), then over the leaves
+        # with the cascade weights, from the same replicate streams
+        rng = seeded(22, 1)
+        d = StateDistribution(np.array([0.5, 0.3, 0.2]))
+        p = random_path(rng, d, 2)
+        lam = np.array([0.2, -0.1, 0.0])
+        res = eval_phi_cascade_mc(lam[:2], p, 0.8, reps=3, atoms_per_level=30, seed=5)
+        spec = CascadeSpec(tuple(p.inner_x), 30)
+        values = []
+        for i in range(3):
+            draws = stream(5, 0xF1, 30, i)
+            sample = sample_cascade(spec, draws)
+            z = sample_leaf_fields(sample, p.increment_covariances(), draws)[:, 0, :]
+            per_leaf = logsumexp(0.8 * z + lam, axis=1)
+            values.append(logsumexp(sample.log_leaf_weights + per_leaf))
+        assert res.value == pytest.approx(np.mean(values), rel=1e-12)
+        assert res.diagnostics["leaves"] == 900
 
     def test_cascade_mc_beta_zero_exact(self):
         p = MonotonePath.one_step(StateDistribution.uniform(3), 0.5)

@@ -58,6 +58,17 @@ def run(argv):
     return buf.getvalue().encode(), code
 
 
+def first_difference(out, expected):
+    """The first line where two reports differ, numbered from 1."""
+    got, want = out.decode().splitlines(), expected.decode().splitlines()
+    for number, (a, b) in enumerate(zip(got, want), start=1):
+        if a != b:
+            return f"line {number}: got {a!r}, golden {b!r}"
+    if len(got) != len(want):
+        return f"got {len(got)} lines, golden {len(want)}"
+    return "the lines match but the line endings differ"
+
+
 def record(directory):
     directory = Path(directory)
     for name, argv in CALLS.items():
@@ -75,7 +86,14 @@ def test_report_bytes_match_golden(name):
         pytest.skip(f"goldens recorded with {recorded}, running {versions()}")
     out, code = run(CALLS[name])
     assert code == 0
-    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    expected = (GOLDEN / f"{name}.out").read_bytes()
+    assert out == expected, first_difference(out, expected)
+
+
+def test_first_difference_names_the_line():
+    assert first_difference(b"a\nb\nc\n", b"a\nx\nc\n") == "line 2: got 'b', golden 'x'"
+    assert first_difference(b"a\n", b"a\nb\n") == "got 1 lines, golden 2"
+    assert first_difference(b"a\r\n", b"a\n") == "the lines match but the line endings differ"
 
 
 if __name__ == "__main__":

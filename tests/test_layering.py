@@ -1,6 +1,6 @@
 """Static layering rules of the package, read from the source with ast:
-no module imports another module's private names, and the intra-package
-import graph has no cycle."""
+no module imports another module's private names, the intra-package
+import graph has no cycle, and the sampling layers sit on core and util."""
 
 import ast
 from pathlib import Path
@@ -56,3 +56,8 @@ def test_import_graph_is_acyclic():
 
 def test_model_does_not_import_functional():
     assert "functional" not in graph()["model"]
+
+
+@pytest.mark.parametrize("module", ["model", "cascade"])
+def test_sampling_layers_import_only_core_and_util(module):
+    assert graph()[module] <= {"core", "util"}

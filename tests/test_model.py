@@ -80,6 +80,15 @@ class TestOverlap:
         r = overlap([1, 1, 2], [1, 1, 2], kappa=2)
         np.testing.assert_allclose(r, np.diag([2 / 3, 1 / 3]))
 
+    def test_unused_states_give_zero_rows(self):
+        r = overlap([1, 1], [1, 2], kappa=3)
+        np.testing.assert_array_equal(r, [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("a", [[0, 1], [1, 3]], ids=["zero", "above-kappa"])
+    def test_labels_out_of_range_raise(self, a):
+        with pytest.raises(ValidationError):
+            overlap(a, [1, 1], kappa=2)
+
 
 class TestEnumerateConfigs:
     def test_counts_full(self):
@@ -98,6 +107,15 @@ class TestEnumerateConfigs:
     def test_budget(self):
         with pytest.raises(BudgetError):
             enumerate_configs(16, 3)
+
+    def test_budget_counts_the_constrained_rows(self):
+        # 3^20 candidates exceed the budget, but only 20 * 19 rows meet the counts
+        c = enumerate_configs(20, 3, [18, 1, 1])
+        assert c.shape == (380, 20)
+        assert np.all(np.count_nonzero(c == 1, axis=1) == 18)
+        assert np.all(np.diff(c @ 3 ** np.arange(19, -1, -1)) > 0)  # lexicographic
+        with pytest.raises(BudgetError):
+            enumerate_configs(24, 3, [8, 8, 8])
 
     @pytest.mark.parametrize(
         "N,counts",
