@@ -267,16 +267,14 @@ def _cmd_cascade_verify(p):
 
 
 def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed):
-    """Overlap arrays sampled from a cascade with an equal-split generator."""
+    """Overlap arrays sampled from a cascade with an equal-split generator:
+    a pair meeting at depth p has the block gamma_p, of trace q_p."""
     path = _equal_split_path(kappa, x_levels)
     spec = CascadeSpec(tuple(x_levels), atoms)
-    q = np.array([path.trace_at(x) for x in np.concatenate([[0.0], x_levels])])
-    q[0] = 0.0
-    gammas = path.gammas
+    q = np.trace(path.gammas, axis1=1, axis2=2)
 
     def phi(t):
-        idx = int(np.argmin(np.abs(np.trace(gammas, axis1=1, axis2=2) - t)))
-        return gammas[idx]
+        return path.gammas[int(np.argmin(np.abs(q - t)))]
 
     arrays = []
     for i in range(n_arrays):

@@ -186,9 +186,6 @@ class MonotonePath:
         p = int(np.searchsorted(self.xs[1:], x, side="left"))
         return self.gammas[min(p, self.r)]
 
-    def trace_at(self, x):
-        return float(np.trace(self.value_at(x)))
-
     def hs_sq_integral(self):
         """Exact integral of the squared Hilbert-Schmidt norm over [0, 1]."""
         widths = np.diff(self.xs)

@@ -5,6 +5,7 @@ import pytest
 
 from pottsglass.cli import (
     _COMMANDS,
+    _default_cascade_arrays,
     _equal_split_path,
     _merge_config,
     build_named_path,
@@ -13,6 +14,19 @@ from pottsglass.cli import (
 )
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.util import ValidationError
+
+
+class TestDefaultCascadeArrays:
+    def test_trace_ladder(self):
+        # meet depth p carries gamma_p: the same replica gets diag(d), a pair
+        # meeting at depth 1 gets diag(d)/2 (trace 0.5), depth 0 gets 0
+        arrays = _default_cascade_arrays(2, [0.3, 0.6], 20, 6, 10, seed=3)
+        for arr in arrays:
+            for a in range(arr.n):
+                np.testing.assert_array_equal(arr.blocks[a, a], np.diag([0.5, 0.5]))
+        _, traces = zip(*(arr.off_diagonal_blocks() for arr in arrays))
+        assert set(np.concatenate(traces)) <= {0.0, 0.5, 1.0}
+        assert 0.5 in np.concatenate(traces)
 
 
 class TestPathHelpers:
