@@ -157,14 +157,13 @@ class TestPsdFactor:
         np.testing.assert_allclose(lam, np.linalg.eigvalsh(cov))
         np.testing.assert_allclose(factor @ factor.T, cov, atol=1e-12)
 
-    def test_negative_directions_are_dropped(self):
-        lam, factor = psd_factor(np.diag([2.0, -1.0]))
-        np.testing.assert_array_equal(lam, [-1.0, 2.0])
-        np.testing.assert_allclose(factor @ factor.T, np.diag([2.0, 0.0]))
-
-    def test_uses_the_symmetric_part(self):
-        lam, factor = psd_factor(np.array([[1.0, 0.4], [0.0, 1.0]]))
-        np.testing.assert_allclose(factor @ factor.T, [[1.0, 0.2], [0.2, 1.0]])
+    def test_projects_the_symmetric_part(self):
+        # symmetric part [[2, 0.5], [0.5, -1]]: the negative direction is dropped
+        lam, factor = psd_factor(np.array([[2.0, 1.0], [0.0, -1.0]]))
+        sym = np.array([[2.0, 0.5], [0.5, -1.0]])
+        w, u = np.linalg.eigh(sym)
+        np.testing.assert_allclose(lam, w)
+        np.testing.assert_allclose(factor @ factor.T, w[1] * np.outer(u[:, 1], u[:, 1]), atol=1e-15)
 
 
 class TestPathDelta:
