@@ -15,8 +15,9 @@ from scipy.special import logsumexp
 from .core import EvalResult, OverlapArray, freeze, psd_factor
 from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
 
-ENUM_BUDGET = 20_000_000
-_ENUM_CHUNK = 8192
+ENUM_BUDGET = 20_000_000  # label cells (rows x N) of an enumerated configuration array
+_ENUM_CHUNK = 8192  # config_energies rows per chunk ...
+_CHUNK_CELLS = _ENUM_CHUNK * 16**2  # ... and site pairs (rows x N^2): fewer rows when N > 16
 FACTOR_BUDGET = 4096
 
 
@@ -75,8 +76,8 @@ def enumerate_configs(N, kappa, counts=None):
     """All label vectors in {1..kappa}^N, optionally with fixed state counts.
 
     Returns an (n_conf, N) array of labels in lexicographic order.  Only
-    prefixes that can still meet the counts are extended, and the budget is
-    checked against the number of rows returned.
+    prefixes that can still meet the counts are extended, and before any
+    allocation the budget is checked against the n_conf * N cells returned.
     """
     if counts is None:
         total = kappa**N
@@ -87,8 +88,11 @@ def enumerate_configs(N, kappa, counts=None):
             raise ValidationError(f"counts must be {kappa} nonnegative integers summing to {N}")
         total = factorial(N) // prod(factorial(int(c)) for c in counts)
         room = counts[None, :]
-    if total > ENUM_BUDGET:
-        raise BudgetError(f"{total} configurations exceed the enumeration budget {ENUM_BUDGET}")
+    if total * N > ENUM_BUDGET:
+        raise BudgetError(
+            f"{total} configurations of {N} sites exceed the enumeration budget "
+            f"of {ENUM_BUDGET} labels"
+        )
     # grow the prefixes site by site; row-major nonzero lists each prefix's
     # admissible next labels in ascending order, which keeps the rows sorted
     step = np.eye(kappa, dtype=np.int64)
@@ -107,14 +111,16 @@ def enumerate_configs(N, kappa, counts=None):
 
 
 def config_energies(configs, g):
-    """Hamiltonian values for a whole configuration set, chunked for memory."""
+    """Hamiltonian values for a whole configuration set, chunked for memory
+    (one row per chunk if N^2 alone exceeds _CHUNK_CELLS)."""
     n_conf, n = configs.shape
     flat = g.ravel() / np.sqrt(n)
     out = np.empty(n_conf)
-    for lo in range(0, n_conf, _ENUM_CHUNK):
-        c = configs[lo : lo + _ENUM_CHUNK]
+    chunk = min(_ENUM_CHUNK, max(1, _CHUNK_CELLS // max(1, n * n)))
+    for lo in range(0, n_conf, chunk):
+        c = configs[lo : lo + chunk]
         eq = (c[:, :, None] == c[:, None, :]).reshape(c.shape[0], -1)
-        out[lo : lo + _ENUM_CHUNK] = eq @ flat
+        out[lo : lo + chunk] = eq @ flat
     return out
 
 

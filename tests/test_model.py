@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pottsglass.model import (
     PerturbationSpec,
     _pair_swap_sweep,
     ass_covariance_check,
+    config_energies,
     enumerate_configs,
     enumerate_free_energy,
     gibbs_replicas,
@@ -117,6 +119,15 @@ class TestEnumerateConfigs:
         with pytest.raises(BudgetError):
             enumerate_configs(24, 3, [8, 8, 8])
 
+    def test_budget_counts_the_cells(self):
+        # few rows, but rows x N labels exceed the budget
+        with pytest.raises(BudgetError):
+            enumerate_configs(5000, 2, [4999, 1])
+        with pytest.raises(BudgetError):
+            enumerate_configs(300, 2, [297, 3])
+        with pytest.raises(BudgetError):
+            enumerate_configs(13, 3)
+
     @pytest.mark.parametrize(
         "N,counts",
         [(4, [2, 2]), (9, [3, 3, 3]), (12, [6, 6]), (6, [1, 2, 3])],
@@ -144,7 +155,29 @@ class TestEnumerateConfigs:
             enumerate_configs(N, kappa, counts)
 
 
+class TestConfigEnergies:
+    def test_matches_hamiltonian_in_bounded_chunks(self):
+        # 200 rows of 200 sites: one chunk would hold 200 * 200^2 site pairs
+        # (a 64 MB float cast); chunks are sized by N^2 instead
+        configs = enumerate_configs(200, 2, [199, 1])
+        g = DisorderInstance(200, seed=4)
+        tracemalloc.start()
+        try:
+            h = config_energies(configs, g.g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        for row in (0, 77, 199):
+            assert h[row] == pytest.approx(hamiltonian(g, configs[row]), rel=1e-12, abs=1e-12)
+
+
 class TestEnumerateFreeEnergy:
+    def test_large_n_small_minority_is_a_budget_error(self):
+        d = StateDistribution(np.array([0.9998, 0.0002]))
+        with pytest.raises(BudgetError):
+            enumerate_free_energy(5000, 2, 1.0, n_disorder=2, constraint=d)
+
     def test_beta_zero_exact(self):
         res = enumerate_free_energy(4, 3, 0.0, n_disorder=5)
         assert res.value == pytest.approx(np.log(3), abs=1e-12)
