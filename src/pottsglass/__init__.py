@@ -37,16 +37,13 @@ from .functional import (
 )
 from .model import (
     DisorderInstance,
-    PerturbationHamiltonian,
     PerturbationSpec,
     ass_covariance_check,
     enumerate_free_energy,
-    gibbs_replicas,
     hamiltonian,
     mcmc_free_energy,
     overlap,
     perturbation_covariance,
-    perturbation_scale,
 )
 from .optimize import (
     OptimizerReport,

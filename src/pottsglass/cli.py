@@ -40,19 +40,30 @@ class Param(NamedTuple):
     help: str
 
 
-def _list_of(convert):
+def _real(value):
+    """A finite float: nan or inf would reach the report as invalid JSON."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = np.nan
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+    return x
+
+
+def _list_of(convert, noun):
     def cast(value):
         items = value if isinstance(value, list) else str(value).split(",")
         try:
             return [convert(v) for v in items if v != ""]
-        except (TypeError, ValueError):
-            raise argparse.ArgumentTypeError(f"expected comma-separated {convert.__name__}s, got {value!r}") from None
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {value!r}") from None
 
     return cast
 
 
-_floats = _list_of(float)
-_ints = _list_of(int)
+_floats = _list_of(_real, "finite number")
+_ints = _list_of(int, "integer")
 
 
 def _choice(*options):
@@ -64,10 +75,19 @@ def _choice(*options):
     return cast
 
 
-def _seed(value):
-    if isinstance(value, bool) or not str(value).isdecimal():
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {value!r}")
-    return int(value)
+def _integer(minimum):
+    """An integer of at least minimum: a seed (0), or a count of states,
+    sites, draws, bins, ... (1)."""
+
+    def cast(value):
+        if isinstance(value, bool) or not str(value).isdecimal() or int(value) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value!r}")
+        return int(value)
+
+    return cast
+
+
+_count = _integer(1)
 
 
 def _switch(value):
@@ -81,19 +101,19 @@ def _switch(value):
 
 # run-wide settings, accepted by every subcommand and at the top of a config file
 _RUN = (
-    Param("seed", _seed, 0, "master seed of every random stream"),
+    Param("seed", _integer(0), 0, "master seed of every random stream"),
     Param("threads", int, 1, "worker threads; reports do not depend on them"),
     Param("out", str, None, "write the report to this file instead of stdout"),
     Param("format", _choice("json", "csv"), "json", "report format: json or csv"),
 )
-KAPPA = Param("kappa", int, 2, "number of states")
-BETA = Param("beta", float, 1.0, "inverse temperature")
+KAPPA = Param("kappa", _count, 2, "number of states")
+BETA = Param("beta", _real, 1.0, "inverse temperature")
 D = Param("d", _floats, None, "state distribution d_1,...,d_kappa")
-R = Param("r", int, 1, "number of path levels")
-GRID_MESH = Param("grid_mesh", int, 8, "denominator of the simplex grid over d")
-SAMPLES = Param("samples", int, 200, "disorder draws")
-REPS = Param("reps", int, 200, "cascade replicates")
-ATOMS = Param("atoms", int, 200, "cascade atoms per level")
+R = Param("r", _count, 1, "number of path levels")
+GRID_MESH = Param("grid_mesh", _count, 8, "denominator of the simplex grid over d")
+SAMPLES = Param("samples", _count, 200, "disorder draws")
+REPS = Param("reps", _count, 200, "cascade replicates")
+ATOMS = Param("atoms", _count, 200, "cascade atoms per level")
 X_LEVELS = Param("x", _floats, (0.3, 0.6), "cascade level parameters x_0,...,x_{r-1}")
 
 _COMMANDS = {}
@@ -182,9 +202,9 @@ def bound_check(
 @_command(
     "eval-parisi", KAPPA, BETA, D,
     Param("path", str, "uniform-r1", "'uniform-r1' or a path JSON file"),
-    Param("x0", float, 0.5, "level x_0 of the uniform-r1 path"),
+    Param("x0", _real, 0.5, "level x_0 of the uniform-r1 path"),
     Param("lambda", _floats, None, "Lagrange multipliers (zeros if not given)"),
-    Param("nodes", int, 9, "Gauss-Hermite nodes per dimension"),
+    Param("nodes", _count, 9, "Gauss-Hermite nodes per dimension"),
 )
 def _cmd_eval_parisi(p):
     kappa = p["kappa"]
@@ -198,8 +218,8 @@ def _cmd_eval_parisi(p):
 
 @_command(
     "optimize", KAPPA, BETA, R, GRID_MESH,
-    Param("starts", int, 8, "Nelder-Mead starts per inner problem"),
-    Param("maxiter", int, 200, "Nelder-Mead iterations per start"),
+    Param("starts", _count, 8, "Nelder-Mead starts per inner problem"),
+    Param("maxiter", _count, 200, "Nelder-Mead iterations per start"),
     Param("nonneg_gamma", _switch, False, "keep path entries nonnegative"),
 )
 def _cmd_optimize(p):
@@ -208,7 +228,7 @@ def _cmd_optimize(p):
 
 
 @_command(
-    "free-energy", Param("N", int, 8, "number of sites"), KAPPA, BETA, SAMPLES, D,
+    "free-energy", Param("N", _count, 8, "number of sites"), KAPPA, BETA, SAMPLES, D,
     Param("method", _choice("enumerate", "mcmc"), "enumerate", "enumerate or mcmc"),
 )
 def _cmd_free_energy(p):
@@ -233,8 +253,8 @@ def _cmd_free_energy(p):
 
 
 @_command(
-    "bound-check", Param("N", int, 8, "number of sites"), KAPPA, BETA, SAMPLES,
-    Param("M", int, 8, "size of the restricted configuration set"), R, REPS, ATOMS, GRID_MESH,
+    "bound-check", Param("N", _count, 8, "number of sites"), KAPPA, BETA, SAMPLES,
+    Param("M", _count, 8, "size of the restricted configuration set"), R, REPS, ATOMS, GRID_MESH,
 )
 def _cmd_bound_check(p):
     return bound_check(
@@ -246,8 +266,8 @@ def _cmd_bound_check(p):
 
 @_command(
     "cascade-verify", KAPPA, X_LEVELS, BETA,
-    Param("scale_N", int, 1, "system size scaling the Y field"), REPS, ATOMS,
-    Param("mass_samples", int, 200, "cascades behind the coincidence masses"),
+    Param("scale_N", _count, 1, "system size scaling the Y field"), REPS, ATOMS,
+    Param("mass_samples", _count, 200, "cascades behind the coincidence masses"),
 )
 def _cmd_cascade_verify(p):
     x_levels, seed = p["x"], p["seed"]
@@ -285,9 +305,9 @@ def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed):
 
 
 @_command(
-    "diag-gg", KAPPA, X_LEVELS, Param("arrays", int, 400, "sampled overlap arrays"),
-    Param("replicas", int, 4, "replicas per array"), ATOMS,
-    Param("n", int, 2, "replicas in the moment identity"),
+    "diag-gg", KAPPA, X_LEVELS, Param("arrays", _count, 400, "sampled overlap arrays"),
+    Param("replicas", _count, 4, "replicas per array"), ATOMS,
+    Param("n", _count, 2, "replicas in the moment identity"),
 )
 def _cmd_diag_gg(p):
     kappa, n, seed = p["kappa"], p["n"], p["seed"]
@@ -302,9 +322,9 @@ def _cmd_diag_gg(p):
 
 
 @_command(
-    "diag-sync", KAPPA, X_LEVELS, Param("arrays", int, 100, "sampled overlap arrays"),
-    Param("replicas", int, 8, "replicas per array"), ATOMS,
-    Param("bins", int, 20, "trace bins of the fit"),
+    "diag-sync", KAPPA, X_LEVELS, Param("arrays", _count, 100, "sampled overlap arrays"),
+    Param("replicas", _count, 8, "replicas per array"), ATOMS,
+    Param("bins", _count, 20, "trace bins of the fit"),
 )
 def _cmd_diag_sync(p):
     arrays = _default_cascade_arrays(p["kappa"], p["x"], p["arrays"], p["replicas"], p["atoms"], p["seed"])
@@ -319,11 +339,11 @@ def _cmd_diag_sync(p):
 
 
 @_command(
-    "diag-interp", KAPPA, Param("N", int, 4, "number of sites"), D,
-    Param("x0", float, 0.3, "level x_0 of the one-step path"),
+    "diag-interp", KAPPA, Param("N", _count, 4, "number of sites"), D,
+    Param("x0", _real, 0.3, "level x_0 of the one-step path"),
     Param("t", _floats, None, "interpolation grid (t_points even steps if not given)"),
-    Param("t_points", int, 6, "points of the default t grid"), BETA,
-    Param("reps", int, 300, "joint disorder and cascade draws"), ATOMS,
+    Param("t_points", _count, 6, "points of the default t grid"), BETA,
+    Param("reps", _count, 300, "joint disorder and cascade draws"), ATOMS,
 )
 def _cmd_diag_interp(p):
     kappa, n = p["kappa"], p["N"]
@@ -336,9 +356,9 @@ def _cmd_diag_interp(p):
 
 
 @_command(
-    "diag-legendre", KAPPA, D, Param("x0", float, 0.5, "level x_0 of the one-step path"),
-    Param("lambda_max", float, 1.0, "half-width of the multiplier grid"),
-    Param("lambda_points", int, 9, "points of the multiplier grid"), BETA,
+    "diag-legendre", KAPPA, D, Param("x0", _real, 0.5, "level x_0 of the one-step path"),
+    Param("lambda_max", _real, 1.0, "half-width of the multiplier grid"),
+    Param("lambda_points", _count, 9, "points of the multiplier grid"), BETA,
     Param("M", _ints, (2, 4, 8), "restricted set sizes"), REPS, ATOMS,
 )
 def _cmd_diag_legendre(p):
@@ -353,8 +373,8 @@ def _cmd_diag_legendre(p):
 
 
 @_command(
-    "ass-check", Param("N", int, 4, "number of sites"), Param("M", int, 2, "number of cavity sites"),
-    KAPPA, Param("pairs", int, 3, "configuration pairs"), Param("draws", int, 10_000, "disorder draws"),
+    "ass-check", Param("N", _count, 4, "number of sites"), Param("M", _integer(0), 2, "number of cavity sites"),
+    KAPPA, Param("pairs", _count, 3, "configuration pairs"), Param("draws", _count, 10_000, "disorder draws"),
 )
 def _cmd_ass_check(p):
     return ass_covariance_check(

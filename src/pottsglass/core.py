@@ -89,10 +89,6 @@ class StateDistribution:
     def to_json_dict(self):
         return {"kappa": int(self.kappa), "d": [float(v) for v in self.d]}
 
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(np.asarray(obj["d"], dtype=float))
-
 
 @dataclass(frozen=True)
 class LagrangeMultipliers:
@@ -265,18 +261,6 @@ class OverlapArray:
         n = self.n
         iu = np.triu_indices(n, k=1)
         return self.blocks[iu], self.traces[iu]
-
-    def to_json_dict(self):
-        return {
-            "n": int(self.n),
-            "kappa": int(self.kappa),
-            "traces": self.traces.tolist(),
-            "blocks": self.blocks.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(np.asarray(obj["traces"], dtype=float), np.asarray(obj["blocks"], dtype=float))
 
 
 def _check_same_space(a, b):

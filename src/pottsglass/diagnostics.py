@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
-from .core import OverlapArray, round_distribution
+from .core import OverlapArray, psd_factor, round_distribution
 from .functional import config_field_sum, eval_f1_restricted, eval_phi
 from .model import (
     DisorderInstance,
@@ -83,11 +83,6 @@ class SyncFit:
     bin_width: float
 
 
-def _psd_project(m):
-    lam, u = np.linalg.eigh(0.5 * (m + m.T))
-    return (u * np.clip(lam, 0.0, None)) @ u.T
-
-
 def sync_fit(array_samples, n_bins=20):
     """Fit a monotone block-of-trace map by trace binning and PSD-isotonic
     accumulation, and report the worst block reconstruction error."""
@@ -120,7 +115,8 @@ def sync_fit(array_samples, n_bins=20):
         phi_hat = np.empty_like(means)
         phi_hat[0] = means[0]
         for i in range(1, means.shape[0]):
-            phi_hat[i] = phi_hat[i - 1] + _psd_project(means[i] - phi_hat[i - 1])
+            _, factor = psd_factor(means[i] - phi_hat[i - 1])
+            phi_hat[i] = phi_hat[i - 1] + factor @ factor.T
         remap = {b: i for i, b in enumerate(occupied[order])}
         assignments = np.array([remap[b] for b in assignments])
     fitted = phi_hat[assignments]
@@ -222,7 +218,6 @@ def legendre_gap(
     atoms_per_level=200,
     seed=0,
     threads=1,
-    quad=None,
 ):
     """Dual upper value (min over the lambda grid) against the restricted-set
     values at enumerable sizes M; the gap should be nonnegative and shrink."""
@@ -232,7 +227,7 @@ def legendre_gap(
     duals = []
     for lam in lambda_grid:
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        phi = eval_phi(lam_arr, path, beta, quad).value
+        phi = eval_phi(lam_arr, path, beta).value
         duals.append(float(-np.dot(lam_arr, d.d[: d.kappa - 1]) + phi))
     best = int(np.argmin(duals))
     dual = duals[best]

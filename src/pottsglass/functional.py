@@ -21,6 +21,7 @@ from .model import enumerate_configs
 from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
 
 FORM_AGREEMENT_TOL = 1e-10
+RANK_TOL = 1e-9  # increment eigenvalues at or below this get no quadrature axis
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class QuadratureSpec:
     """Tensor Gauss-Hermite settings for the nested Gaussian expectations."""
 
     nodes_per_dim: int = 9
-    rank_tolerance: float = 1e-9
     budget: int = 500_000
 
     def __post_init__(self):
@@ -38,13 +38,13 @@ class QuadratureSpec:
             raise ValidationError("budget must cover at least one level")
 
 
-def _gh_nodes(cov, nodes_per_dim, rank_tolerance):
+def _gh_nodes(cov, nodes_per_dim):
     """Quadrature nodes/log-weights for a centered Gaussian with the given
-    covariance, restricted to directions above the rank tolerance."""
+    covariance, restricted to directions above RANK_TOL."""
     cov = np.asarray(cov, dtype=float)
     kappa = cov.shape[0]
     lam, factor = psd_factor(cov)
-    keep = lam > rank_tolerance
+    keep = lam > RANK_TOL
     rank = int(keep.sum())
     if rank == 0:
         return np.zeros((1, kappa)), np.zeros(1)
@@ -72,7 +72,7 @@ def eval_phi(lam, path, beta, quad=None):
     levels = []
     total_nodes = 1
     for cov in path.increment_covariances():
-        nodes, logw = _gh_nodes(cov, quad.nodes_per_dim, quad.rank_tolerance)
+        nodes, logw = _gh_nodes(cov, quad.nodes_per_dim)
         levels.append((nodes, logw))
         total_nodes *= nodes.shape[0]
         if total_nodes > quad.budget:
@@ -116,6 +116,8 @@ def eval_parisi(lam, d, path, beta, quad=None):
 
     Both algebraic forms of the correction are computed and must agree.
     """
+    if d.kappa != path.kappa:
+        raise ValidationError(f"distribution has {d.kappa} states but the path has {path.kappa}")
     if np.max(np.abs(np.asarray(d.d) - path.d.d)) > 1e-10:
         raise ValidationError("distribution does not match the path endpoint")
     lam = as_multipliers(lam, d.kappa)

@@ -12,13 +12,12 @@ from math import factorial, lgamma, prod
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import EvalResult, OverlapArray, freeze, psd_factor
+from .core import EvalResult, freeze
 from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
 
 ENUM_BUDGET = 20_000_000  # label cells (rows x N) of an enumerated configuration array
 _ENUM_CHUNK = 8192  # config_energies rows per chunk ...
 _CHUNK_CELLS = _ENUM_CHUNK * 16**2  # ... and site pairs (rows x N^2): fewer rows when N > 16
-FACTOR_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -263,63 +262,14 @@ def mcmc_free_energy(
     )
 
 
-def overlap_array_from_replicas(replicas, kappa):
-    """Pairwise overlap traces and blocks for an (n, N) replica label array."""
-    replicas = np.asarray(replicas, dtype=np.int64)
-    n, n_sites = replicas.shape
-    onehot = _one_hot(replicas, kappa)
-    blocks = np.einsum("aik,bil->abkl", onehot, onehot) / n_sites
-    traces = np.trace(blocks, axis1=2, axis2=3)
-    return OverlapArray(traces, blocks)
-
-
-def gibbs_replicas(g, beta, d, n_replicas, method="exact", seed=0, sweeps=300, burn=150, thin=10):
-    """I.i.d. replicas from the constrained Gibbs measure, plus their overlaps.
-
-    Exact sampling enumerates the Boltzmann probabilities; the mcmc method
-    thins a long pair-swap chain.
-    """
-    if n_replicas < 1:
-        raise ValidationError("need at least one replica")
-    counts = d.counts(g.N)
-    rng = stream(seed, 0x61BB, g.N, g.draw)
-    if method == "exact":
-        configs = enumerate_configs(g.N, d.kappa, counts)
-        h = config_energies(configs, g.g)
-        logp = beta * h - logsumexp(beta * h)
-        picks = rng.choice(configs.shape[0], size=n_replicas, p=np.exp(logp))
-        replicas = configs[picks]
-    elif method == "mcmc":
-        sqrt_n = np.sqrt(g.N)
-        s_sum = g.g + g.g.T
-        sigma = _initial_configuration(counts)
-        rng.shuffle(sigma)
-        for _ in range(burn):
-            _pair_swap_sweep(sigma, s_sum, beta, sqrt_n, rng)
-        out = []
-        while len(out) < n_replicas:
-            for _ in range(thin):
-                _pair_swap_sweep(sigma, s_sum, beta, sqrt_n, rng)
-            out.append(sigma.copy())
-        replicas = np.asarray(out)
-    else:
-        raise ValidationError(f"unknown sampling method {method!r}")
-    return replicas, overlap_array_from_replicas(replicas, d.kappa)
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Parameters of one perturbation covariance: Hadamard power p, powers
-    n_1..n_m, and direction vectors lambda^1..lambda^m in [-1, 1]^kappa.
-
-    codes are the encoding lengths of the lambda vectors, used only in the
-    summability index; the caller fixes the encoding.
-    """
+    n_1..n_m, and direction vectors lambda^1..lambda^m in [-1, 1]^kappa."""
 
     p: int
     n: tuple
     lambdas: np.ndarray
-    codes: tuple | None = None
 
     def __post_init__(self):
         if self.p < 1:
@@ -332,30 +282,8 @@ class PerturbationSpec:
             raise ValidationError("need one lambda vector per n_j")
         if np.max(np.abs(lams)) > 1.0 + 1e-12:
             raise ValidationError("lambda entries must lie in [-1, 1]")
-        codes = (0,) * len(n) if self.codes is None else tuple(int(c) for c in self.codes)
-        if len(codes) != len(n) or any(c < 0 for c in codes):
-            raise ValidationError("need one nonnegative code length per lambda")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lambdas", freeze(lams))
-        object.__setattr__(self, "codes", codes)
-
-    @property
-    def m(self):
-        return len(self.n)
-
-    @property
-    def j_index(self):
-        """Summability index: p + sum n_j + sum code lengths + 4m."""
-        return self.p + sum(self.n) + sum(self.codes) + 4 * self.m
-
-
-def perturbation_covariance(spec, R):
-    """Product over j of (lambda_j^T R^{hadamard p} lambda_j)^{n_j}."""
-    hp = np.asarray(R, dtype=float) ** spec.p
-    out = 1.0
-    for nj, lam in zip(spec.n, spec.lambdas):
-        out *= float(lam @ hp @ lam) ** nj
-    return out
 
 
 def quadratic_forms(spec, R):
@@ -364,60 +292,9 @@ def quadratic_forms(spec, R):
     return np.array([float(lam @ hp @ lam) for lam in spec.lambdas])
 
 
-def perturbation_scale(N, gamma=0.375):
-    """The perturbation magnitude N^gamma; gamma must lie in (1/4, 1/2)."""
-    if not 0.25 < gamma < 0.5:
-        raise ValidationError("gamma must lie in (1/4, 1/2)")
-    return float(N**gamma)
-
-
-class PerturbationHamiltonian:
-    """The weighted perturbation field over an enumerable configuration set.
-
-    Each component is a centered Gaussian process with covariance
-    perturbation_covariance(theta, R(sigma, sigma')), realized by factorizing
-    the covariance matrix over the set instead of materializing the
-    exponentially large index sum.  values[c] is sum_theta 2^{-j(theta)}
-    u_theta h_theta at configuration index c.
-    """
-
-    def __init__(self, specs, u, configs, kappa, seed=0):
-        configs = np.asarray(configs, dtype=np.int64)
-        n_conf = configs.shape[0]
-        if n_conf > FACTOR_BUDGET:
-            raise BudgetError(
-                f"{n_conf} configurations exceed the covariance factorization "
-                f"budget {FACTOR_BUDGET}"
-            )
-        u = np.asarray(u, dtype=float)
-        if u.size != len(specs):
-            raise ValidationError("need one weight per perturbation spec")
-        if len(specs) and (np.min(u) < 1.0 or np.max(u) > 2.0):
-            raise ValidationError("weights must lie in [1, 2]")
-        self.specs = tuple(specs)
-        self.u = u
-        self.configs = configs
-        self.kappa = kappa
-        overlaps = overlap_array_from_replicas(configs, kappa) if n_conf else None
-        self.components = []
-        total = np.zeros(n_conf)
-        for t, spec in enumerate(self.specs):
-            cov = np.empty((n_conf, n_conf))
-            for a in range(n_conf):
-                for b in range(n_conf):
-                    cov[a, b] = perturbation_covariance(spec, overlaps.blocks[a, b])
-            _, factor = psd_factor(cov)
-            h = factor @ stream(seed, 0x9E7, t).standard_normal(n_conf)
-            self.components.append(h)
-            total += 2.0 ** (-spec.j_index) * u[t] * h
-        self.values = total
-
-    def value(self, index):
-        return float(self.values[index])
-
-    def variance_bound(self):
-        """Deterministic bound on the total variance: (sum 2^{-j} u_t)^2."""
-        return float(sum(2.0 ** (-s.j_index) * w for s, w in zip(self.specs, self.u))) ** 2
+def perturbation_covariance(spec, R):
+    """Product over j of (lambda_j^T R^{hadamard p} lambda_j)^{n_j}."""
+    return float(np.prod(quadratic_forms(spec, R) ** np.array(spec.n)))
 
 
 def _cov_with_se(x, y):

@@ -8,7 +8,7 @@ locally.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -256,15 +256,4 @@ def outer_maximize(kappa, beta, r, config=None, seed=0):
         "refined_d": [float(v) for v in d_refined.d],
         "refinement_evaluations": len(evaluated),
     }
-    return OptimizerReport(
-        report.value,
-        report.lam,
-        report.path,
-        report.d,
-        float(beta),
-        r,
-        report.rejections,
-        report.starts,
-        report.theta,
-        extra,
-    )
+    return replace(report, extra=extra)

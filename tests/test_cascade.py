@@ -186,11 +186,6 @@ class TestOverlapArray:
         blocks, traces = arr.off_diagonal_blocks()
         assert blocks.shape == (10, 2, 2) and traces.shape == (10,)
 
-    def test_json_round_trip(self):
-        arr = self._array()
-        again = OverlapArray.from_json_dict(arr.to_json_dict())
-        np.testing.assert_array_equal(arr.blocks, again.blocks)
-
     def test_bad_q_raises(self):
         spec = CascadeSpec((0.5,), atoms_per_level=4)
         s = sample_cascade(spec, seeded(8, 2))

@@ -151,6 +151,9 @@ def write_config(tmp_path, params):
     return str(cfg)
 
 
+KAPPA2_PATH = "<a kappa = 2 path file>"
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv",
@@ -162,10 +165,29 @@ class TestMalformedInput:
             ["free-energy", "--method", "mcmc", "--kappa", "2", "--d", "0.25,0.25,0.5"],
             ["free-energy", "--method", "gibbs"],
             ["eval-parisi", "--samples", "3"],
+            ["eval-parisi", "--kappa", "0"],
+            ["cascade-verify", "--kappa", "0"],
+            ["eval-parisi", "--kappa", "-1"],
+            ["optimize", "--kappa", "0"],
+            ["ass-check", "--kappa", "0"],
+            ["ass-check", "--N", "0"],
+            ["ass-check", "--M", "-1"],
+            ["diag-sync", "--bins", "0"],
+            ["diag-gg", "--n", "0"],
+            ["eval-parisi", "--kappa", "3", "--path", KAPPA2_PATH],
+            ["free-energy", "--kappa", "0", "--N", "3"],
+            ["eval-parisi", "--beta", "nan"],
+            ["diag-interp", "--t", "0,nan"],
         ],
-        ids=["int", "kappa", "seed", "d-short", "d-long", "method", "unread-flag"],
+        ids=["int", "kappa", "seed", "d-short", "d-long", "method", "unread-flag",
+             "eval-kappa-0", "cascade-kappa-0", "eval-kappa-negative", "optimize-kappa-0",
+             "ass-kappa-0", "ass-N-0", "ass-M-negative", "bins-0", "gg-n-0", "path-kappa",
+             "free-energy-kappa-0", "beta-nan", "t-nan"],
     )
-    def test_flags_exit_2(self, argv, capsys):
+    def test_flags_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(MonotonePath.one_step(StateDistribution.uniform(2), 0.5).to_json_dict()))
+        argv = [str(path) if a == KAPPA2_PATH else a for a in argv]
         assert main(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
 

@@ -37,11 +37,6 @@ class TestStateDistribution:
         with pytest.raises(ValidationError):
             d.counts(3)
 
-    def test_json_round_trip(self):
-        d = StateDistribution(np.array([0.2, 0.3, 0.5]))
-        again = StateDistribution.from_json_dict(d.to_json_dict())
-        np.testing.assert_array_equal(d.d, again.d)
-
 
 class TestRoundDistribution:
     def test_largest_remainder(self):

@@ -1,14 +1,21 @@
 """Static layering rules of the package, read from the source with ast:
 no module imports another module's private names, the intra-package
-import graph has no cycle, and the sampling layers sit on core and util."""
+import graph has no cycle, the sampling layers sit on core and util, and
+every public function and class has a caller that is not a unit test."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pottsglass"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pottsglass"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+# where a public name may be called from: the package itself (its
+# re-exports in __init__ do not count), the benchmark and the acceptance battery
+CALLERS = [PACKAGE / f"{m}.py" for m in MODULES] + sorted((ROOT / "bench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"
+]
 
 
 def relative_imports(module):
@@ -61,3 +68,33 @@ def test_model_does_not_import_functional():
 @pytest.mark.parametrize("module", ["model", "cascade"])
 def test_sampling_layers_import_only_core_and_util(module):
     assert graph()[module] <= {"core", "util"}
+
+
+def references(path):
+    """(name, enclosing top-level definition or None) for each name or
+    attribute a file reads; imports are not references."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, owner))
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    reads = [(name, path, owner) for path in CALLERS for name, owner in references(path)]
+    unused = [
+        f"{module}.{node.name}"
+        for module in MODULES
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(
+            name == node.name and (path, owner) != (PACKAGE / f"{module}.py", node.name)
+            for name, path, owner in reads
+        )
+    ]
+    assert unused == []

@@ -8,20 +8,16 @@ from conftest import seeded
 from pottsglass.core import StateDistribution
 from pottsglass.model import (
     DisorderInstance,
-    PerturbationHamiltonian,
     PerturbationSpec,
     _pair_swap_sweep,
     ass_covariance_check,
     config_energies,
     enumerate_configs,
     enumerate_free_energy,
-    gibbs_replicas,
     hamiltonian,
     mcmc_free_energy,
     overlap,
-    overlap_array_from_replicas,
     perturbation_covariance,
-    perturbation_scale,
     quadratic_forms,
 )
 from pottsglass.util import BudgetError, ValidationError
@@ -222,45 +218,6 @@ class TestMcmc:
         assert res_m.diagnostics["warnings"] == []
 
 
-class TestGibbsReplicas:
-    def test_exact_beta_zero_mean_block(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        g = DisorderInstance(6, seed=7)
-        replicas, arr = gibbs_replicas(g, 0.0, d, n_replicas=150, method="exact", seed=1)
-        assert replicas.shape == (150, 6)
-        # every replica respects the constraint
-        assert np.all(np.count_nonzero(replicas == 1, axis=1) == 3)
-        blocks, _ = arr.off_diagonal_blocks()
-        np.testing.assert_allclose(blocks.mean(axis=0), 0.25, atol=0.02)
-
-    def test_mcmc_method_shapes(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        g = DisorderInstance(6, seed=7)
-        replicas, arr = gibbs_replicas(
-            g, 0.5, d, n_replicas=5, method="mcmc", seed=1, sweeps=10, burn=10, thin=3
-        )
-        assert replicas.shape == (5, 6)
-        assert arr.n == 5
-        assert np.all(np.count_nonzero(replicas == 1, axis=1) == 3)
-
-    def test_unknown_method(self):
-        d = StateDistribution(np.array([0.5, 0.5]))
-        with pytest.raises(ValidationError):
-            gibbs_replicas(DisorderInstance(2, seed=0), 1.0, d, 1, method="nope")
-
-
-class TestOverlapArrayFromReplicas:
-    def test_matches_pairwise_overlap(self):
-        rng = seeded(32, 0)
-        reps = rng.integers(1, 3, size=(4, 6))
-        arr = overlap_array_from_replicas(reps, kappa=2)
-        for a in range(4):
-            for b in range(4):
-                np.testing.assert_allclose(
-                    arr.blocks[a, b], overlap(reps[a], reps[b], 2), atol=1e-12
-                )
-
-
 class TestPerturbationSpec:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -269,12 +226,6 @@ class TestPerturbationSpec:
             PerturbationSpec(p=1, n=(1,), lambdas=2.0 * np.ones((1, 2)))
         with pytest.raises(ValidationError):
             PerturbationSpec(p=1, n=(1, 1), lambdas=np.ones((1, 2)))
-        with pytest.raises(ValidationError):
-            PerturbationSpec(p=1, n=(1,), lambdas=np.ones((1, 2)), codes=(1, 2))
-
-    def test_j_index(self):
-        spec = PerturbationSpec(p=2, n=(1, 2), lambdas=np.ones((2, 2)), codes=(3, 0))
-        assert spec.j_index == 2 + 3 + 3 + 8
 
     def test_covariance_oracles(self):
         r = overlap([1, 2, 2, 1], [1, 1, 2, 1], kappa=2)
@@ -303,56 +254,6 @@ class TestPerturbationSpec:
         for p in (1, 2, 3):
             spec = PerturbationSpec(p=p, n=(1,), lambdas=np.ones((1, 3)))
             assert perturbation_covariance(spec, r) == pytest.approx(float(np.sum(f**p)))
-
-
-class TestPerturbationHamiltonian:
-    def test_empirical_covariance_matches(self):
-        configs = enumerate_configs(2, 2)
-        spec = PerturbationSpec(p=1, n=(1,), lambdas=np.array([[1.0, -0.5]]))
-        arr = overlap_array_from_replicas(configs, 2)
-        draws = np.array(
-            [
-                PerturbationHamiltonian([spec], [1.0], configs, 2, seed=s).components[0]
-                for s in range(2000)
-            ]
-        )
-        emp = draws.T @ draws / draws.shape[0]
-        target = np.array(
-            [
-                [perturbation_covariance(spec, arr.blocks[a, b]) for b in range(4)]
-                for a in range(4)
-            ]
-        )
-        np.testing.assert_allclose(emp, target, atol=0.12)
-
-    def test_variance_bound_holds(self):
-        configs = enumerate_configs(2, 2)
-        specs = [
-            PerturbationSpec(p=1, n=(1,), lambdas=np.array([[1.0, 0.0]])),
-            PerturbationSpec(p=2, n=(1,), lambdas=np.ones((1, 2))),
-        ]
-        vals = np.array(
-            [
-                PerturbationHamiltonian(specs, [1.5, 2.0], configs, 2, seed=s).values[0]
-                for s in range(2000)
-            ]
-        )
-        h = PerturbationHamiltonian(specs, [1.5, 2.0], configs, 2, seed=0)
-        assert vals.var() <= h.variance_bound() * 1.2
-
-    def test_budget_and_weight_validation(self):
-        spec = PerturbationSpec(p=1, n=(1,), lambdas=np.ones((1, 2)))
-        configs = enumerate_configs(2, 2)
-        with pytest.raises(ValidationError):
-            PerturbationHamiltonian([spec], [0.5], configs, 2)
-        big = np.ones((5000, 2), dtype=np.int64)
-        with pytest.raises(BudgetError):
-            PerturbationHamiltonian([spec], [1.0], big, 2)
-
-    def test_scale(self):
-        assert perturbation_scale(16, 0.375) == pytest.approx(16**0.375)
-        with pytest.raises(ValidationError):
-            perturbation_scale(16, 0.6)
 
 
 class TestAssCheck:
