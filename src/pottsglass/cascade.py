@@ -11,10 +11,9 @@ distribution, so the node totals must be carried through.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import OverlapArray, psd_factor
-from .util import ValidationError, jackknife_se, map_indexed, stream
+from .util import ValidationError, jackknife_se, logsumexp, map_indexed, stream
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,14 @@ def _list_of(convert, noun):
     return cast
 
 
+def _nonnegative(value):
+    """A finite float >= 0, such as an inverse temperature."""
+    x = _real(value)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {value!r}")
+    return x
+
+
 _floats = _list_of(_real, "finite number")
 _ints = _list_of(int, "integer")
 
@@ -102,12 +110,12 @@ def _switch(value):
 # run-wide settings, accepted by every subcommand and at the top of a config file
 _RUN = (
     Param("seed", _integer(0), 0, "master seed of every random stream"),
-    Param("threads", int, 1, "worker threads; reports do not depend on them"),
+    Param("threads", _count, 1, "worker threads; reports do not depend on them"),
     Param("out", str, None, "write the report to this file instead of stdout"),
     Param("format", _choice("json", "csv"), "json", "report format: json or csv"),
 )
 KAPPA = Param("kappa", _count, 2, "number of states")
-BETA = Param("beta", _real, 1.0, "inverse temperature")
+BETA = Param("beta", _nonnegative, 1.0, "inverse temperature")
 D = Param("d", _floats, None, "state distribution d_1,...,d_kappa")
 R = Param("r", _count, 1, "number of path levels")
 GRID_MESH = Param("grid_mesh", _count, 8, "denominator of the simplex grid over d")

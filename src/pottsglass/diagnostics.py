@@ -5,7 +5,6 @@ interpolation monotonicity, and the duality gap of the constrained bound."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
 from .core import OverlapArray, psd_factor, round_distribution
@@ -17,7 +16,7 @@ from .model import (
     perturbation_covariance,
     quadratic_forms,
 )
-from .util import ValidationError, jackknife_se, map_indexed, stream
+from .util import ValidationError, jackknife_se, logsumexp, map_indexed, stream
 
 
 def _gg_samples(array_samples, f, n, q_fn):

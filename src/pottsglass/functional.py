@@ -9,16 +9,16 @@ It is the restricted-set cascade average with M = 1 over the kappa one-site
 configurations, and both run through one replicate kernel.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
 from .core import EvalResult, as_multipliers, psd_factor
 from .model import enumerate_configs
-from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
+from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
 
 FORM_AGREEMENT_TOL = 1e-10
 RANK_TOL = 1e-9  # increment eigenvalues at or below this get no quadrature axis
@@ -38,6 +38,19 @@ class QuadratureSpec:
             raise ValidationError("budget must cover at least one level")
 
 
+@functools.lru_cache(maxsize=16)  # bounded; a run uses a few (nodes, rank) pairs
+def _gh_grid(nodes_per_dim, rank):
+    """The standard-normal tensor grid sqrt(2) t and its normalized
+    log-weights, built once per (nodes_per_dim, rank) and shared read-only."""
+    t, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
+    grid = np.sqrt(2.0) * np.array(list(itertools.product(t, repeat=rank)))
+    logw = np.log(np.array(list(itertools.product(w, repeat=rank)))).sum(axis=1)
+    logw -= logsumexp(logw)
+    grid.flags.writeable = False
+    logw.flags.writeable = False
+    return grid, logw
+
+
 def _gh_nodes(cov, nodes_per_dim):
     """Quadrature nodes/log-weights for a centered Gaussian with the given
     covariance, restricted to directions above RANK_TOL."""
@@ -48,12 +61,8 @@ def _gh_nodes(cov, nodes_per_dim):
     rank = int(keep.sum())
     if rank == 0:
         return np.zeros((1, kappa)), np.zeros(1)
-    t, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
-    grids = np.array(list(itertools.product(t, repeat=rank)))
-    logw = np.log(np.array(list(itertools.product(w, repeat=rank)))).sum(axis=1)
-    logw -= logsumexp(logw)
-    points = (np.sqrt(2.0) * grids) @ factor[:, keep].T
-    return points, logw
+    grid, logw = _gh_grid(nodes_per_dim, rank)
+    return grid @ factor[:, keep].T, logw
 
 
 def eval_phi(lam, path, beta, quad=None):

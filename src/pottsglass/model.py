@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from math import factorial, lgamma, prod
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import EvalResult, freeze
-from .util import BudgetError, ValidationError, jackknife_se, map_indexed, stream
+from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
 
 ENUM_BUDGET = 20_000_000  # label cells (rows x N) of an enumerated configuration array
 _ENUM_CHUNK = 8192  # config_energies rows per chunk ...

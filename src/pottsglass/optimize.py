@@ -7,6 +7,7 @@ than clipped.  The outer problem scans a simplex grid over d and refines
 locally.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -51,6 +52,11 @@ class PathParametrization:
     def dim(self):
         return (self.kappa - 1) + self.r + (self.r - 1) * self.n_tri
 
+    @functools.cached_property
+    def _tri(self):
+        """Positions of the n_tri free entries of each factor A_p."""
+        return np.tril_indices(self.kappa)
+
     def default_start(self):
         theta = np.zeros(self.dim)
         levels = (np.arange(1, self.r + 1)) / (self.r + 1.0)
@@ -73,11 +79,10 @@ class PathParametrization:
         lam = theta[: kappa - 1]
         x = np.sort(expit(theta[kappa - 1 : kappa - 1 + self.r]))
         increments = []
-        tri = np.tril_indices(kappa)
         pos = kappa - 1 + self.r
         for _ in range(self.r - 1):
             a = np.zeros((kappa, kappa))
-            a[tri] = theta[pos : pos + self.n_tri]
+            a[self._tri] = theta[pos : pos + self.n_tri]
             pos += self.n_tri
             increments.append(a @ a.T)
         final = np.diag(self.d.d) - sum(increments, np.zeros((kappa, kappa)))

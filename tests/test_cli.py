@@ -178,11 +178,17 @@ class TestMalformedInput:
             ["free-energy", "--kappa", "0", "--N", "3"],
             ["eval-parisi", "--beta", "nan"],
             ["diag-interp", "--t", "0,nan"],
+            ["free-energy", "--N", "3", "--samples", "2", "--threads", "0"],
+            ["free-energy", "--N", "3", "--samples", "2", "--threads", "-1"],
+            ["free-energy", "--N", "3", "--samples", "2", "--beta", "-1"],
+            ["cascade-verify", "--reps", "4", "--atoms", "20", "--beta", "-1"],
+            ["diag-interp", "--reps", "4", "--atoms", "20", "--beta", "-1"],
         ],
         ids=["int", "kappa", "seed", "d-short", "d-long", "method", "unread-flag",
              "eval-kappa-0", "cascade-kappa-0", "eval-kappa-negative", "optimize-kappa-0",
              "ass-kappa-0", "ass-N-0", "ass-M-negative", "bins-0", "gg-n-0", "path-kappa",
-             "free-energy-kappa-0", "beta-nan", "t-nan"],
+             "free-energy-kappa-0", "beta-nan", "t-nan", "threads-0", "threads-negative",
+             "free-energy-beta-negative", "cascade-beta-negative", "interp-beta-negative"],
     )
     def test_flags_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "path.json"

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from conftest import random_path, seeded
 from pottsglass.cascade import CascadeSpec, sample_cascade, sample_leaf_fields
-from pottsglass.core import EvalResult, MonotonePath, StateDistribution
+from pottsglass.core import EvalResult, MonotonePath, StateDistribution, psd_factor
 from pottsglass.functional import (
+    RANK_TOL,
     QuadratureSpec,
+    _gh_grid,
+    _gh_nodes,
     eval_f1_restricted,
     eval_f2,
     eval_lower_bound,
@@ -120,6 +125,58 @@ class TestEvalPhi:
         res = eval_phi_cascade_mc([0.0, 0.0], p, 0.0, reps=5, atoms_per_level=20)
         assert res.value == pytest.approx(np.log(3), abs=1e-12)
         assert res.std_error <= 1e-12
+
+
+def per_call_nodes(cov, nodes_per_dim):
+    """The quadrature nodes as every call built them before the grid cache."""
+    lam, factor = psd_factor(cov)
+    keep = lam > RANK_TOL
+    rank = int(keep.sum())
+    t, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
+    grids = np.array(list(itertools.product(t, repeat=rank)))
+    logw = np.log(np.array(list(itertools.product(w, repeat=rank)))).sum(axis=1)
+    logw -= logsumexp(logw)
+    return (np.sqrt(2.0) * grids) @ factor[:, keep].T, logw
+
+
+class TestGaussHermiteGrid:
+    def test_built_once_per_nodes_and_rank(self, monkeypatch):
+        calls = []
+        hermgauss = np.polynomial.hermite.hermgauss
+
+        def counted(n):
+            calls.append(n)
+            return hermgauss(n)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+        _gh_grid.cache_clear()
+        d = StateDistribution.uniform(3)
+        path = MonotonePath.one_step(d, 0.4)
+        for beta in (0.5, 1.0, 2.0):
+            eval_phi([0.1, -0.2], path, beta)
+        eval_phi([0.0, 0.0], MonotonePath.one_step(d, 0.7), 1.0)
+        assert calls == [9]
+        eval_phi([0.0, 0.0], path, 1.0, QuadratureSpec(nodes_per_dim=11))
+        assert calls == [9, 11]
+
+    def test_cached_arrays_are_read_only(self):
+        cov = np.diag([0.6, 0.4])
+        for arr in _gh_grid(9, 2) + _gh_nodes(cov, 9)[1:]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("kappa,rank", [(2, 2), (2, 1), (3, 3), (3, 2), (3, 1)])
+    def test_matches_per_call_formula(self, kappa, rank):
+        rng = seeded(23, kappa, rank)
+        for nodes in (5, 9):
+            g = rng.standard_normal((kappa, rank))
+            cov = g @ g.T
+            nodes_now, logw_now = _gh_nodes(cov, nodes)
+            nodes_then, logw_then = per_call_nodes(cov, nodes)
+            assert nodes_now.shape == (nodes**rank, kappa)
+            assert nodes_now.tobytes() == nodes_then.tobytes()
+            assert logw_now.tobytes() == logw_then.tobytes()
 
 
 class TestEvalParisi:

@@ -1,7 +1,8 @@
 """Static layering rules of the package, read from the source with ast:
 no module imports another module's private names, the intra-package
-import graph has no cycle, the sampling layers sit on core and util, and
-every public function and class has a caller that is not a unit test."""
+import graph has no cycle, the sampling layers sit on core and util, the
+one log-sum-exp is util's, and every public function and class has a
+caller that is not a unit test."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,25 @@ def test_model_does_not_import_functional():
 @pytest.mark.parametrize("module", ["model", "cascade"])
 def test_sampling_layers_import_only_core_and_util(module):
     assert graph()[module] <= {"core", "util"}
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_logsumexp_is_util_only(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    from_scipy = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+        for alias in node.names
+        if alias.name in ("logsumexp", "*")
+    ]
+    attributes = [  # such as scipy.special.logsumexp or special.logsumexp
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "logsumexp"
+        and ast.unparse(node.value) != "util"
+    ]
+    assert from_scipy == [] and attributes == []
 
 
 def references(path):

@@ -1,0 +1,82 @@
+import numpy as np
+import pytest
+from scipy.special import logsumexp as scipy_logsumexp
+
+from pottsglass import util
+from pottsglass.util import logsumexp, map_indexed
+
+
+def assert_bitwise(x, y):
+    assert type(x) is type(y)
+    assert np.shape(x) == np.shape(y)
+    assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+class TestLogSumExp:
+    """scipy.special.logsumexp is the oracle: the local one runs the same
+    algorithm, so every result must match it bit for bit."""
+
+    def test_random_shapes_and_axes(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
+            a = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 40.0, 800.0])
+            for axis in [None] + list(range(min(a.ndim, 2))):
+                assert_bitwise(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
+
+    def test_tied_maxima(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            a = np.round(rng.standard_normal((rng.integers(2, 12), 5)))
+            a[:, 2] = a.max(axis=1)  # every row has at least two maxima
+            for axis in (None, 0, 1):
+                assert_bitwise(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
+
+    def test_minus_inf_entries_and_rows(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((6, 7))
+        a[rng.random(a.shape) < 0.3] = -np.inf
+        a[3] = -np.inf
+        for axis in (None, 0, 1):
+            assert_bitwise(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
+        assert logsumexp(a, axis=1)[3] == -np.inf
+        assert_bitwise(logsumexp(np.full(4, -np.inf)), scipy_logsumexp(np.full(4, -np.inf)))
+
+    def test_scalar_and_integer_input(self):
+        for a in (3.0, [1, 2, 3], np.arange(12).reshape(3, 4)):
+            assert_bitwise(logsumexp(a), scipy_logsumexp(a))
+
+
+def recording_pool(sizes):
+    """A stand-in for ThreadPoolExecutor that records its size in sizes and
+    runs the tasks inline, so no thread starts."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return Pool
+
+
+class TestMapIndexed:
+    @pytest.mark.parametrize(
+        "threads,n,cores,pool",
+        [(8, 3, 4, 3), (8, 100, 4, 4), (3, 100, 4, 3), (1, 100, 4, None), (8, 1, 4, None),
+         (8, 0, 4, None), (8, 100, None, None)],
+        ids=["tasks", "cores", "threads", "serial", "one-task", "no-task", "cores-unknown"],
+    )
+    def test_pool_capped_by_tasks_and_cores(self, threads, n, cores, pool, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(util, "ThreadPoolExecutor", recording_pool(sizes))
+        monkeypatch.setattr(util.os, "cpu_count", lambda: cores)
+        assert map_indexed(lambda i: i * i, n, threads) == [i * i for i in range(n)]
+        assert sizes == ([] if pool is None else [pool])
