@@ -118,7 +118,6 @@ KAPPA = Param("kappa", _count, 2, "number of states")
 BETA = Param("beta", _nonnegative, 1.0, "inverse temperature")
 D = Param("d", _floats, None, "state distribution d_1,...,d_kappa")
 R = Param("r", _count, 1, "number of path levels")
-GRID_MESH = Param("grid_mesh", _count, 8, "denominator of the simplex grid over d")
 SAMPLES = Param("samples", _count, 200, "disorder draws")
 REPS = Param("reps", _count, 200, "cascade replicates")
 ATOMS = Param("atoms", _count, 200, "cascade atoms per level")
@@ -180,10 +179,16 @@ def bound_check(
     opt_config=None,
 ):
     """Sandwich report: restricted-set lower value, exact finite-size
-    estimate, and the variational upper value with its finite-size slack."""
+    estimate, and the variational upper value with its finite-size slack.
+
+    The upper value is the maximum over the N-types, the distributions with
+    denominator N: there are at most (N+1)^kappa of them, which is what the
+    slack kappa log(N+1)/N pays for.
+    """
     mid = enumerate_free_energy(N, kappa, beta, n_disorder, seed, threads=threads)
     config = dict(opt_config or {})
     config.setdefault("threads", threads)
+    config["grid_mesh"] = N
     upper = outer_maximize(kappa, beta, r, config, seed)
     slack = kappa * float(np.log(N + 1)) / N
     delta = round_distribution(upper.d, M)
@@ -225,7 +230,8 @@ def _cmd_eval_parisi(p):
 
 
 @_command(
-    "optimize", KAPPA, BETA, R, GRID_MESH,
+    "optimize", KAPPA, BETA, R,
+    Param("grid_mesh", _count, 8, "denominator of the types d maximized over"),
     Param("starts", _count, 8, "Nelder-Mead starts per inner problem"),
     Param("maxiter", _count, 200, "Nelder-Mead iterations per start"),
     Param("nonneg_gamma", _switch, False, "keep path entries nonnegative"),
@@ -262,13 +268,12 @@ def _cmd_free_energy(p):
 
 @_command(
     "bound-check", Param("N", _count, 8, "number of sites"), KAPPA, BETA, SAMPLES,
-    Param("M", _count, 8, "size of the restricted configuration set"), R, REPS, ATOMS, GRID_MESH,
+    Param("M", _count, 8, "size of the restricted configuration set"), R, REPS, ATOMS,
 )
 def _cmd_bound_check(p):
     return bound_check(
         p["N"], p["kappa"], p["beta"], n_disorder=p["samples"], M=p["M"], r=p["r"],
         reps=p["reps"], atoms_per_level=p["atoms"], seed=p["seed"], threads=p["threads"],
-        opt_config={"grid_mesh": p["grid_mesh"]},
     )
 
 

@@ -11,6 +11,7 @@ configurations, and both run through one replicate kernel.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_ind
 
 FORM_AGREEMENT_TOL = 1e-10
 RANK_TOL = 1e-9  # increment eigenvalues at or below this get no quadrature axis
+# hermgauss(n) solves an n x n eigenproblem, and a rank-1 level passes the
+# node budget with n up to the budget itself, so n is capped on its own
+MAX_NODES_PER_DIM = 101
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes_per_dim < 3 or self.nodes_per_dim % 2 == 0:
             raise ValidationError("nodes_per_dim must be odd and at least 3")
+        if self.nodes_per_dim > MAX_NODES_PER_DIM:
+            raise BudgetError(
+                f"nodes_per_dim {self.nodes_per_dim} exceeds {MAX_NODES_PER_DIM}"
+            )
         if self.budget < self.nodes_per_dim:
             raise ValidationError("budget must cover at least one level")
 
@@ -51,25 +59,47 @@ def _gh_grid(nodes_per_dim, rank):
     return grid, logw
 
 
-def _gh_nodes(cov, nodes_per_dim):
-    """Quadrature nodes/log-weights for a centered Gaussian with the given
-    covariance, restricted to directions above RANK_TOL."""
-    cov = np.asarray(cov, dtype=float)
-    kappa = cov.shape[0]
-    lam, factor = psd_factor(cov)
-    keep = lam > RANK_TOL
-    rank = int(keep.sum())
+def _kept_factor(cov):
+    """The columns of cov's PSD factor in directions above RANK_TOL; their
+    number is the rank of the level's quadrature grid."""
+    lam, factor = psd_factor(np.asarray(cov, dtype=float))
+    return factor[:, lam > RANK_TOL]
+
+
+def _gh_nodes(factor, nodes_per_dim):
+    """Quadrature nodes/log-weights for the centered Gaussian factor @ Z."""
+    kappa, rank = factor.shape
     if rank == 0:
         return np.zeros((1, kappa)), np.zeros(1)
     grid, logw = _gh_grid(nodes_per_dim, rank)
-    return grid @ factor[:, keep].T, logw
+    return grid @ factor.T, logw
+
+
+def _level_value(inner, logw, x_p):
+    """(1/x_p) log of the weighted mean of exp(x_p * inner) over each row.
+
+    x_p = 0 takes the plain mean c.  Rows with x_p |inner - c| < 1 use
+    c + log1p(mean of expm1(x_p (inner - c))) / x_p, whose rounding error
+    does not grow as x_p -> 0; the other rows are max-shifted.
+    """
+    w = np.exp(logw)
+    mean = np.sum(w[None, :] * inner, axis=1)
+    if x_p == 0.0:
+        return mean
+    dev = x_p * (inner - mean[:, None])
+    near = np.max(np.abs(dev), axis=1) < 1.0
+    out = np.empty_like(mean)
+    out[near] = mean[near] + np.log1p(np.expm1(dev[near]) @ w) / x_p
+    if not near.all():
+        out[~near] = logsumexp(logw[None, :] + x_p * inner[~near], axis=1) / x_p
+    return out
 
 
 def eval_phi(lam, path, beta, quad=None):
     """The recursion value X_0 by exact backward recursion with quadrature.
 
-    Levels with x_p = 0 take the plain expectation; all log-mean-exp steps
-    are max-shifted.
+    Each level is _level_value's log-mean-exp.  The node count is checked
+    against the budget before any grid is built.
     """
     quad = quad or QuadratureSpec()
     if beta < 0:
@@ -78,17 +108,13 @@ def eval_phi(lam, path, beta, quad=None):
     lam = as_multipliers(lam, kappa)
     lam_full = np.append(lam.lam, 0.0)
     r = path.r
-    levels = []
-    total_nodes = 1
-    for cov in path.increment_covariances():
-        nodes, logw = _gh_nodes(cov, quad.nodes_per_dim)
-        levels.append((nodes, logw))
-        total_nodes *= nodes.shape[0]
-        if total_nodes > quad.budget:
-            raise BudgetError(
-                f"recursion requires at least {total_nodes} node evaluations, "
-                f"budget is {quad.budget}"
-            )
+    factors = [_kept_factor(cov) for cov in path.increment_covariances()]
+    total_nodes = math.prod(quad.nodes_per_dim ** f.shape[1] for f in factors)
+    if total_nodes > quad.budget:
+        raise BudgetError(
+            f"recursion requires {total_nodes} node evaluations, budget is {quad.budget}"
+        )
+    levels = [_gh_nodes(factor, quad.nodes_per_dim) for factor in factors]
     x_levels = path.inner_x  # x_0 .. x_{r-1}
 
     def recurse(p, s):
@@ -99,10 +125,7 @@ def eval_phi(lam, path, beta, quad=None):
         n_p = nodes.shape[0]
         expanded = (s[:, None, :] + nodes[None, :, :]).reshape(m * n_p, kappa)
         inner = recurse(p + 1, expanded).reshape(m, n_p)
-        x_p = float(x_levels[p])
-        if x_p == 0.0:
-            return np.sum(np.exp(logw)[None, :] * inner, axis=1)
-        return logsumexp(logw[None, :] + x_p * inner, axis=1) / x_p
+        return _level_value(inner, logw, float(x_levels[p]))
 
     value = float(recurse(0, np.zeros((1, kappa)))[0])
     return EvalResult(
@@ -123,7 +146,7 @@ def eval_phi_cascade_mc(lam, path, beta, reps=200, atoms_per_level=200, seed=0, 
 def eval_parisi(lam, d, path, beta, quad=None):
     """The variational objective: Phi minus the Lagrange and HS corrections.
 
-    Both algebraic forms of the correction are computed and must agree.
+    The telescoped HS correction must agree with its integral form eval_f2.
     """
     if d.kappa != path.kappa:
         raise ValidationError(f"distribution has {d.kappa} states but the path has {path.kappa}")
@@ -133,12 +156,7 @@ def eval_parisi(lam, d, path, beta, quad=None):
     phi = eval_phi(lam, path, beta, quad)
     lagrange = float(np.dot(lam.lam, d.d[: d.kappa - 1]))
     value = phi.value - lagrange - 0.5 * beta**2 * path.hs_telescoped()
-    rearranged = (
-        phi.value
-        - lagrange
-        - 0.5 * beta**2 * float(np.sum(d.d**2))
-        + 0.5 * beta**2 * path.hs_sq_integral()
-    )
+    rearranged = phi.value - lagrange - eval_f2(path, beta)
     if abs(value - rearranged) > FORM_AGREEMENT_TOL:
         raise ValidationError(
             f"correction forms disagree by {abs(value - rearranged):.3e}"

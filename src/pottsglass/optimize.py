@@ -3,8 +3,8 @@
 The inner problem searches (lambda, path) with Nelder-Mead multistart; the
 path is parametrized so the endpoint constraint gamma_r = diag(d) is exact,
 with infeasible decodes (non-PSD derived final increment) penalized rather
-than clipped.  The outer problem scans a simplex grid over d and refines
-locally.
+than clipped.  The outer problem takes the best of the sorted types on a
+simplex grid over d.
 """
 
 import functools
@@ -215,50 +215,24 @@ def simplex_grid(kappa, mesh=8):
 
 
 def outer_maximize(kappa, beta, r, config=None, seed=0):
-    """Maximize the inner value over d: simplex grid scan, then local
-    refinement through a softmax chart around the best grid point."""
+    """Maximize the inner value over the types with denominator grid_mesh.
+
+    The value does not change when the states are relabelled, so only the
+    types with nonincreasing entries are evaluated; ties go to the first.
+    """
     config = dict(config or {})
     mesh = int(config.get("grid_mesh", 8))
-    grid_config = dict(config)
-    grid_config["starts"] = int(config.get("grid_starts", 4))
-    refine_maxiter = int(config.get("refine_maxiter", 12))
     threads = int(config.get("threads", 1))
-    grid = simplex_grid(kappa, mesh)
+    types = [d for d in simplex_grid(kappa, mesh) if np.all(np.diff(d.d) <= 0.0)]
 
-    def grid_point(i):
-        return inner_minimize(grid[i], r, beta, grid_config, seed).value
+    def at_type(i):
+        return inner_minimize(types[i], r, beta, config, seed)
 
-    grid_values = map_indexed(grid_point, len(grid), threads)
-    top = max(grid_values)
-    # among ties, prefer the point closest to uniform (then lowest index)
-    uniform = np.full(kappa, 1.0 / kappa)
-    tied = [i for i, v in enumerate(grid_values) if v >= top - 1e-11]
-    best_i = min(tied, key=lambda i: (float(np.sum(np.abs(grid[i].d - uniform))), i))
-    d_best = grid[best_i]
-    evaluated = {}
-
-    def neg_inner(z):
-        w = np.exp(z - np.max(z))
-        d = StateDistribution(w / w.sum())
-        key = tuple(np.round(d.d, 12))
-        if key not in evaluated:
-            evaluated[key] = inner_minimize(d, r, beta, grid_config, seed)
-        return -evaluated[key].value
-
-    z0 = np.log(0.9 * d_best.d + 0.1 / kappa)
-    res = minimize(neg_inner, z0, method="Nelder-Mead", options={"maxiter": refine_maxiter})
-    w = np.exp(res.x - np.max(res.x))
-    d_refined = StateDistribution(w / w.sum())
-    candidates = [d_best, d_refined]
-    final_config = dict(config)
-    final_reports = [inner_minimize(d, r, beta, final_config, seed) for d in candidates]
-    best = max(range(len(final_reports)), key=lambda i: final_reports[i].value)
-    report = final_reports[best]
+    reports = map_indexed(at_type, len(types), threads)
+    values = [report.value for report in reports]
     extra = {
         "grid_mesh": mesh,
-        "grid_values": [float(v) for v in grid_values],
-        "grid_best_d": [float(v) for v in d_best.d],
-        "refined_d": [float(v) for v in d_refined.d],
-        "refinement_evaluations": len(evaluated),
+        "types": [[float(v) for v in d.d] for d in types],
+        "type_values": values,
     }
-    return replace(report, extra=extra)
+    return replace(reports[int(np.argmax(values))], extra=extra)

@@ -1,7 +1,8 @@
 """Acceptance battery: one test per headline criterion.
 
-Each test prints a single ``[criterion NN] name: PASS`` line on success (its
-pytest PASSED/FAILED line carries the same information under -v).  Heavy
+Each criterion test prints a single ``[criterion NN] name: PASS`` line on
+success (its pytest PASSED/FAILED line carries the same information under
+-v); the entropy-floor test reuses criterion 03's optimizer runs.  Heavy
 shared computations (variational optimizer runs, exact enumerations) are
 cached at module scope.
 """
@@ -46,13 +47,7 @@ from pottsglass.model import (
 from pottsglass.optimize import inner_minimize, outer_maximize
 from pottsglass.util import stream
 
-OPT_CONFIG = {
-    "grid_mesh": 8,
-    "grid_starts": 2,
-    "starts": 4,
-    "refine_maxiter": 8,
-    "maxiter": 150,
-}
+OPT_CONFIG = {"starts": 4, "maxiter": 150}
 
 SANDWICH_POINTS = [(2, 10, 0.5), (2, 10, 1.0), (3, 7, 1.0)]
 
@@ -62,8 +57,9 @@ def report_line(num, name):
 
 
 @functools.lru_cache(maxsize=None)
-def cached_outer(kappa, beta):
-    return outer_maximize(kappa, beta, 1, OPT_CONFIG, seed=0)
+def cached_outer(kappa, N, beta):
+    """The upper value over the N-types, as bound_check takes it."""
+    return outer_maximize(kappa, beta, 1, dict(OPT_CONFIG, grid_mesh=N), seed=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,7 +97,7 @@ def test_criterion_02_single_state_closed_forms():
 def test_criterion_03_upper_bound_sandwich():
     for kappa, N, beta in SANDWICH_POINTS:
         mid = cached_enum(N, kappa, beta)
-        upper = cached_outer(kappa, beta)
+        upper = cached_outer(kappa, N, beta)
         slack = kappa * np.log(N + 1) / N
         assert mid.value <= upper.value + slack + 3.0 * mid.std_error, (kappa, N, beta)
     report_line(3, "finite-size upper bound sandwich")
@@ -109,7 +105,7 @@ def test_criterion_03_upper_bound_sandwich():
 
 def test_criterion_04_lower_bound_consistency():
     for kappa, N, beta in SANDWICH_POINTS:
-        upper = cached_outer(kappa, beta)
+        upper = cached_outer(kappa, N, beta)
         mid = cached_enum(N, kappa, beta)
         delta = round_distribution(upper.d, 8)
         lower = eval_lower_bound(8, delta, upper.path, beta, reps=200, seed=0)
@@ -118,6 +114,16 @@ def test_criterion_04_lower_bound_consistency():
         combined = 3.0 * (lower.std_error + mid.std_error)
         assert lower.value <= mid.value + slack + combined, (kappa, beta)
     report_line(4, "restricted-set lower bound consistency")
+
+
+def test_type_values_above_entropy_floor():
+    # Jensen under the uniform measure on a type class: F_N(d) >= H(d) in
+    # the limit, so no honest upper value lies below the entropy
+    for kappa, N, beta in SANDWICH_POINTS:
+        upper = cached_outer(kappa, N, beta)
+        for d, value in zip(upper.extra["types"], upper.extra["type_values"]):
+            p = np.array([v for v in d if v > 0.0])
+            assert value >= -float(np.sum(p * np.log(p))) - 1e-9, (kappa, beta, d, value)
 
 
 def test_criterion_05_cascade_y_identity():

@@ -13,6 +13,7 @@ from pottsglass.cli import (
     render_report,
 )
 from pottsglass.core import MonotonePath, StateDistribution
+from pottsglass.functional import _gh_grid
 from pottsglass.util import ValidationError
 
 
@@ -68,6 +69,23 @@ class TestMainExitCodes:
         code = main(["free-energy", "--N", "20", "--kappa", "3", "--beta", "0",
                      "--samples", "2"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--nodes", "99999"], ["--kappa", "1", "--nodes", "99999"],
+         ["--kappa", "3", "--nodes", "101"]],
+        ids=["nodes", "nodes-rank-1", "nodes-cubed"],
+    )
+    def test_quadrature_budget_is_3_before_any_grid(self, argv, monkeypatch, capsys):
+        # hermgauss(99999) would build an 80 GB companion matrix
+        def refuse(n):
+            raise AssertionError(f"hermgauss({n}) called")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+        _gh_grid.cache_clear()
+        assert main(["eval-parisi", *argv]) == 3
+        assert "error:" in capsys.readouterr().err
+        _gh_grid.cache_clear()
 
 
 class TestConfigMerge:
@@ -154,6 +172,19 @@ def write_config(tmp_path, params):
 KAPPA2_PATH = "<a kappa = 2 path file>"
 
 
+class TestBoundCheck:
+    def test_upper_value_is_at_an_n_type(self, capsys):
+        # 5 sites: the uniform d of the old default mesh 8 is not a 5-type
+        n = 5
+        assert main(["bound-check", "--N", str(n), "--beta", "0.5", "--samples", "2",
+                     "--M", "4", "--reps", "2", "--atoms", "10"]) == 0
+        counts = n * np.array(json.loads(capsys.readouterr().out)["upper_d"])
+        np.testing.assert_allclose(counts, np.round(counts), atol=1e-12)
+
+    def test_grid_mesh_is_not_a_flag(self, capsys):
+        assert main(["bound-check", "--grid-mesh", "2"]) == 2
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv",
@@ -226,7 +257,7 @@ class TestMalformedInput:
 class TestFlagTables:
     def test_each_subcommand_accepts_only_what_it_reads(self):
         assert len(_COMMANDS) == 10
-        assert sum(len(table) for _, table in _COMMANDS.values()) == 71
+        assert sum(len(table) for _, table in _COMMANDS.values()) == 70
 
     def test_help_lists_the_table(self, capsys):
         assert main(["diag-sync", "--help"]) == 0

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import random_path, seeded
+from conftest import random_distribution, random_path, seeded
 from pottsglass.cascade import CascadeSpec, sample_cascade, sample_leaf_fields
 from pottsglass.core import EvalResult, MonotonePath, StateDistribution, psd_factor
 from pottsglass.functional import (
+    MAX_NODES_PER_DIM,
     RANK_TOL,
     QuadratureSpec,
     _gh_grid,
     _gh_nodes,
+    _kept_factor,
     eval_f1_restricted,
     eval_f2,
     eval_lower_bound,
@@ -35,6 +37,12 @@ class TestQuadratureSpec:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValidationError):
             QuadratureSpec(nodes_per_dim=9, budget=4)
+
+    def test_nodes_per_dim_capped(self):
+        # a rank-1 level would pass the node budget with any count below it
+        QuadratureSpec(nodes_per_dim=MAX_NODES_PER_DIM)
+        with pytest.raises(BudgetError):
+            QuadratureSpec(nodes_per_dim=MAX_NODES_PER_DIM + 2)
 
 
 class TestEvalResult:
@@ -85,6 +93,36 @@ class TestEvalPhi:
         p = random_path(rng, d, 2)
         with pytest.raises(BudgetError, match="budget"):
             eval_phi([0.0], p, 1.0, QuadratureSpec(nodes_per_dim=9, budget=50))
+
+    def test_budget_checked_before_any_grid(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"hermgauss({n}) called")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+        _gh_grid.cache_clear()
+        p = MonotonePath.one_step(StateDistribution.uniform(3), 0.5)
+        with pytest.raises(BudgetError, match="1030301 node evaluations"):
+            eval_phi([0.0, 0.0], p, 1.0, QuadratureSpec(nodes_per_dim=101))
+        _gh_grid.cache_clear()
+
+    @pytest.mark.parametrize("kappa,r", [(2, 1), (2, 2), (3, 1)])
+    def test_continuous_as_x0_goes_to_zero(self, kappa, r):
+        # the level's value moves by about x_0 Var/2 from its x_0 = 0 mean
+        rng = seeded(25, kappa, r)
+        for _ in range(3):
+            d = random_distribution(rng, kappa)
+            path = random_path(rng, d, r)
+            lam = rng.uniform(-1.0, 1.0, size=kappa - 1)
+            beta = float(rng.uniform(0.5, 2.0))
+
+            def at(x0):
+                xs = np.array(path.xs)
+                xs[1] = x0
+                return eval_phi(lam, MonotonePath(d, xs, path.gammas), beta).value
+
+            zero = at(0.0)
+            for x0 in (1e-6, 1e-9, 1e-12, 1e-15, 1e-300):
+                assert abs(at(x0) - zero) <= 3.0 * x0 + 1e-13, x0
 
     def test_negative_beta_rejected(self):
         p = MonotonePath.one_step(StateDistribution.uniform(2), 0.5)
@@ -161,7 +199,7 @@ class TestGaussHermiteGrid:
 
     def test_cached_arrays_are_read_only(self):
         cov = np.diag([0.6, 0.4])
-        for arr in _gh_grid(9, 2) + _gh_nodes(cov, 9)[1:]:
+        for arr in _gh_grid(9, 2) + _gh_nodes(_kept_factor(cov), 9)[1:]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -172,7 +210,7 @@ class TestGaussHermiteGrid:
         for nodes in (5, 9):
             g = rng.standard_normal((kappa, rank))
             cov = g @ g.T
-            nodes_now, logw_now = _gh_nodes(cov, nodes)
+            nodes_now, logw_now = _gh_nodes(_kept_factor(cov), nodes)
             nodes_then, logw_then = per_call_nodes(cov, nodes)
             assert nodes_now.shape == (nodes**rank, kappa)
             assert nodes_now.tobytes() == nodes_then.tobytes()
@@ -188,6 +226,33 @@ class TestEvalParisi:
         assert res.method == "quadrature"
         assert res.value == pytest.approx(res.diagnostics["rearranged_value"], abs=1e-10)
         assert "phi" in res.diagnostics
+
+    @pytest.mark.parametrize("kappa,r", [(2, 1), (2, 2), (3, 1)])
+    def test_invariant_under_relabelling(self, kappa, r):
+        # state k of the relabelled problem is state perm[k]: d -> Pd,
+        # gamma -> P gamma P^T, and lambda re-gauged so the last state is 0
+        rng = seeded(26, kappa, r)
+        for beta in (0.5, 1.0, 2.0):
+            d = random_distribution(rng, kappa)
+            assert len(set(d.d)) == kappa
+            path = random_path(rng, d, r)
+            lam_full = np.append(rng.uniform(-1.0, 1.0, size=kappa - 1), 0.0)
+            value = eval_parisi(lam_full[:-1], d, path, beta).value
+            for perm in itertools.permutations(range(kappa)):
+                perm = list(perm)
+                moved_d = StateDistribution(d.d[perm])
+                moved_path = MonotonePath(moved_d, path.xs, path.gammas[:, perm][:, :, perm])
+                moved_lam = lam_full[perm][:-1] - lam_full[perm][-1]
+                moved = eval_parisi(moved_lam, moved_d, moved_path, beta).value
+                assert abs(moved - value) <= 1e-12, (perm, beta)
+
+    def test_rearranged_is_the_integral_form(self):
+        rng = seeded(23, 1)
+        d = StateDistribution(np.array([0.6, 0.4]))
+        p = random_path(rng, d, 2)
+        res = eval_parisi([0.3], d, p, 1.2)
+        expected = res.diagnostics["phi"] - 0.3 * 0.6 - eval_f2(p, 1.2)
+        assert res.diagnostics["rearranged_value"] == expected
 
     def test_distribution_mismatch_raises(self):
         d = StateDistribution(np.array([0.5, 0.5]))

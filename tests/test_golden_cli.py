@@ -5,10 +5,10 @@ tests/golden/<name>.out.  The goldens hold floats at full precision, so they
 are compared only under the numpy/scipy versions they were recorded with
 (tests/golden/versions.json); under other versions the test is skipped.
 
-A change that is meant to move a digit re-records the goldens and says why in
-CHANGES.md:
+A change that is meant to move a digit re-records the goldens it moves, by
+name, and says why in CHANGES.md (with no names, every golden is re-recorded):
 
-    PYTHONPATH=src python3 tests/test_golden_cli.py tests/golden
+    PYTHONPATH=src python3 tests/test_golden_cli.py tests/golden NAME...
 """
 
 import contextlib
@@ -36,7 +36,7 @@ CALLS = {
     "free-energy-mcmc": ["free-energy", "--method", "mcmc", "--N", "6", "--kappa", "2",
                          "--beta", "0.5", "--samples", "2"],
     "bound-check": ["bound-check", "--N", "4", "--kappa", "2", "--beta", "0.5", "--samples", "4",
-                    "--M", "4", "--reps", "4", "--atoms", "20", "--grid-mesh", "2"],
+                    "--M", "4", "--reps", "4", "--atoms", "20"],
     "cascade-verify": ["cascade-verify", "--reps", "4", "--atoms", "20", "--mass-samples", "10"],
     "diag-gg": ["diag-gg", "--arrays", "10", "--atoms", "20"],
     "diag-sync": ["diag-sync", "--arrays", "10", "--atoms", "20"],
@@ -69,14 +69,24 @@ def first_difference(out, expected):
     return "the lines match but the line endings differ"
 
 
-def record(directory):
+def record(directory, names=()):
+    """Write the golden of each named call, or of every call and the versions
+    if none is named.  Named calls join goldens recorded under the same
+    numpy/scipy versions only."""
     directory = Path(directory)
-    for name, argv in CALLS.items():
-        out, code = run(argv)
+    unknown = set(names) - set(CALLS)
+    if unknown:
+        raise SystemExit(f"no golden call named {', '.join(sorted(unknown))}")
+    stamp = directory / "versions.json"
+    if names and json.loads(stamp.read_text()) != versions():
+        raise SystemExit(f"{stamp} names other versions than {versions()}: re-record all")
+    for name in names or CALLS:
+        out, code = run(CALLS[name])
         if code != 0:
             raise SystemExit(f"{name} exited with {code}")
         (directory / f"{name}.out").write_bytes(out)
-    (directory / "versions.json").write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n")
+    if not names:
+        stamp.write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -96,5 +106,18 @@ def test_first_difference_names_the_line():
     assert first_difference(b"a\r\n", b"a\n") == "the lines match but the line endings differ"
 
 
+def test_record_writes_only_the_named_goldens(tmp_path):
+    stamp = tmp_path / "versions.json"
+    stamp.write_text(json.dumps(versions()))
+    record(tmp_path, ["eval-parisi"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval-parisi.out", "versions.json"]
+    assert (tmp_path / "eval-parisi.out").read_bytes() == run(CALLS["eval-parisi"])[0]
+    with pytest.raises(SystemExit, match="no golden call named nope"):
+        record(tmp_path, ["eval-parisi", "nope"])
+    stamp.write_text(json.dumps({"numpy": "0", "scipy": "0"}))
+    with pytest.raises(SystemExit, match="re-record all"):
+        record(tmp_path, ["eval-parisi"])
+
+
 if __name__ == "__main__":
-    record(sys.argv[1])
+    record(sys.argv[1], sys.argv[2:])

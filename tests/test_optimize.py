@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import seeded
+from pottsglass import optimize
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.functional import QuadratureSpec, eval_parisi
 from pottsglass.optimize import (
+    OptimizerReport,
     PathParametrization,
     inner_minimize,
     outer_maximize,
@@ -123,17 +125,54 @@ class TestInnerMinimize:
         assert set(obj) >= {"value", "lambda", "path", "d", "beta", "r"}
 
 
+def stub_inner(evaluated, value_of):
+    """An inner_minimize that records each d and returns value_of(d)."""
+
+    def inner(d, r, beta, config=None, seed=0):
+        evaluated.append(tuple(d.d))
+        return OptimizerReport(
+            value_of(d), np.zeros(d.kappa - 1), MonotonePath.one_step(d, 0.5), d, beta, r, 0,
+            (), np.zeros(1),
+        )
+
+    return inner
+
+
+def entropy(d):
+    p = d.d[d.d > 0]
+    return float(-np.sum(p * np.log(p)))
+
+
 class TestOuterMaximize:
+    @pytest.mark.parametrize("kappa,mesh,count", [(2, 10, 6), (3, 7, 8), (3, 4, 4)])
+    def test_evaluates_each_sorted_type_once(self, kappa, mesh, count, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(optimize, "inner_minimize", stub_inner(evaluated, entropy))
+        report = outer_maximize(kappa, 1.0, 1, {"grid_mesh": mesh}, seed=0)
+        assert len(evaluated) == count
+        sorted_types = {tuple(sorted(d.d, reverse=True)) for d in simplex_grid(kappa, mesh)}
+        assert set(evaluated) == sorted_types
+        assert report.extra["types"] == [list(t) for t in evaluated]
+        assert report.extra["type_values"] == [
+            entropy(StateDistribution(np.array(t))) for t in evaluated
+        ]
+        assert report.value == max(report.extra["type_values"])
+
+    def test_ties_go_to_the_first_type(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(optimize, "inner_minimize", stub_inner(evaluated, lambda d: 1.0))
+        report = outer_maximize(3, 1.0, 1, {"grid_mesh": 7}, seed=0)
+        assert tuple(report.d.d) == evaluated[0]
+
     def test_beta_zero_picks_uniform(self):
-        config = {"grid_mesh": 4, "grid_starts": 2, "starts": 2, "refine_maxiter": 4,
-                  "maxiter": 100}
+        config = {"grid_mesh": 4, "starts": 2, "maxiter": 100}
         report = outer_maximize(2, 0.0, 1, config, seed=0)
         assert report.value == pytest.approx(np.log(2), abs=1e-4)
         np.testing.assert_allclose(report.d.d, 0.5, atol=1e-6)
-        assert "grid_values" in report.extra
+        assert report.extra["types"] == [[0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
+        assert len(report.extra["type_values"]) == 3
 
     def test_small_beta_prefers_uniform(self):
-        config = {"grid_mesh": 4, "grid_starts": 2, "starts": 2, "refine_maxiter": 4,
-                  "maxiter": 100}
+        config = {"grid_mesh": 4, "starts": 2, "maxiter": 100}
         report = outer_maximize(2, 0.3, 1, config, seed=0)
         assert abs(report.d.d[0] - 0.5) <= 0.15
