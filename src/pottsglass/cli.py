@@ -98,15 +98,6 @@ def _integer(minimum):
 _count = _integer(1)
 
 
-def _switch(value):
-    """A boolean; on the command line the bare flag means true."""
-    if isinstance(value, bool):
-        return value
-    if str(value).lower() not in ("true", "false"):
-        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
-    return str(value).lower() == "true"
-
-
 # run-wide settings, accepted by every subcommand and at the top of a config file
 _RUN = (
     Param("seed", _integer(0), 0, "master seed of every random stream"),
@@ -187,7 +178,6 @@ def bound_check(
     """
     mid = enumerate_free_energy(N, kappa, beta, n_disorder, seed, threads=threads)
     config = dict(opt_config or {})
-    config.setdefault("threads", threads)
     config["grid_mesh"] = N
     upper = outer_maximize(kappa, beta, r, config, seed)
     slack = kappa * float(np.log(N + 1)) / N
@@ -234,10 +224,9 @@ def _cmd_eval_parisi(p):
     Param("grid_mesh", _count, 8, "denominator of the types d maximized over"),
     Param("starts", _count, 8, "Nelder-Mead starts per inner problem"),
     Param("maxiter", _count, 200, "Nelder-Mead iterations per start"),
-    Param("nonneg_gamma", _switch, False, "keep path entries nonnegative"),
 )
 def _cmd_optimize(p):
-    config = {k: p[k] for k in ("starts", "grid_mesh", "maxiter", "nonneg_gamma", "threads")}
+    config = {k: p[k] for k in ("starts", "grid_mesh", "maxiter")}
     return outer_maximize(p["kappa"], p["beta"], p["r"], config, p["seed"]).to_json_dict()
 
 
@@ -405,12 +394,8 @@ def _build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file merged under flags")
         for row in _RUN + table:
-            flag = "--" + row.name.replace("_", "-")
-            if row.type is _switch:
-                sp.add_argument(flag, dest=row.name, action="store_true", default=argparse.SUPPRESS, help=row.help)
-            else:
-                sp.add_argument(flag, dest=row.name, type=row.type, default=argparse.SUPPRESS,
-                                help=f"{row.help} (default: {row.default})")
+            sp.add_argument("--" + row.name.replace("_", "-"), dest=row.name, type=row.type,
+                            default=argparse.SUPPRESS, help=f"{row.help} (default: {row.default})")
     return parser
 
 

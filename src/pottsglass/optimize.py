@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from .core import PSD_TOL, MonotonePath, StateDistribution
 from .functional import eval_parisi
-from .util import ValidationError, map_indexed, stream
+from .util import ValidationError, stream
 
 
 def _logit(x):
@@ -120,19 +120,14 @@ class OptimizerReport:
         }
 
 
-def _objective(param, beta, nonneg_gamma, counter):
-    kappa = param.kappa
-    base = np.log(max(kappa, 2)) + beta**2 + 1.0
+def _objective(param, beta, counter):
+    base = np.log(max(param.kappa, 2)) + beta**2 + 1.0
 
     def fn(theta):
         lam, path, neg = param.decode(theta)
         if path is None:
             counter["rejections"] += 1
             return base + neg + neg**2
-        if nonneg_gamma and float(np.min(path.gammas)) < -1e-12:
-            counter["rejections"] += 1
-            mag = -float(np.min(path.gammas))
-            return base + mag + mag**2
         return eval_parisi(lam, param.d, path, beta).value
 
     return fn
@@ -153,17 +148,18 @@ def _embed_theta(theta, d, r):
 
 
 def inner_minimize(d, r, beta, config=None, seed=0):
-    """Minimize the variational objective over (lambda, path) at fixed d, r."""
+    """Minimize the variational objective over (lambda, path) at fixed d, r.
+
+    Starts run serially: the objective is small-array numpy that holds the
+    GIL, so a thread pool over starts or types only adds overhead."""
     config = dict(config or {})
     starts = int(config.get("starts", 8))
     maxiter = int(config.get("maxiter", 200))
-    nonneg_gamma = bool(config.get("nonneg_gamma", False))
-    threads = int(config.get("threads", 1))
     if starts < 1:
         raise ValidationError("need at least one start")
     param = PathParametrization(d, r)
     counter = {"rejections": 0}
-    fn = _objective(param, beta, nonneg_gamma, counter)
+    fn = _objective(param, beta, counter)
     nested_theta = None
     if r > 1:
         sub_config = dict(config)
@@ -171,8 +167,8 @@ def inner_minimize(d, r, beta, config=None, seed=0):
         nested_theta = _embed_theta(
             inner_minimize(d, r - 1, beta, sub_config, seed).theta, d, r
         )
-
-    def run_start(s):
+    results = []
+    for s in range(starts):
         if s == 0:
             theta0 = param.default_start()
         elif s == 1 and nested_theta is not None:
@@ -185,9 +181,7 @@ def inner_minimize(d, r, beta, config=None, seed=0):
             method="Nelder-Mead",
             options={"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-10},
         )
-        return float(res.fun), tuple(float(v) for v in res.x), int(res.nit)
-
-    results = map_indexed(run_start, starts, threads)
+        results.append((float(res.fun), tuple(float(v) for v in res.x), int(res.nit)))
     best = min(results, key=lambda t: (t[0], t[1]))
     theta = np.asarray(best[1])
     lam, path, _ = param.decode(theta)
@@ -222,13 +216,8 @@ def outer_maximize(kappa, beta, r, config=None, seed=0):
     """
     config = dict(config or {})
     mesh = int(config.get("grid_mesh", 8))
-    threads = int(config.get("threads", 1))
     types = [d for d in simplex_grid(kappa, mesh) if np.all(np.diff(d.d) <= 0.0)]
-
-    def at_type(i):
-        return inner_minimize(types[i], r, beta, config, seed)
-
-    reports = map_indexed(at_type, len(types), threads)
+    reports = [inner_minimize(d, r, beta, config, seed) for d in types]
     values = [report.value for report in reports]
     extra = {
         "grid_mesh": mesh,

@@ -300,8 +300,7 @@ def test_criterion_14_thread_determinism():
                                    threads=threads),
             "interp": interpolation_curve(4, 2, d, 1.0, path, [0.0, 0.5, 1.0], reps=8,
                                           atoms_per_level=50, seed=3, threads=threads),
-            "inner": inner_minimize(d, 1, 0.8, {"starts": 4, "maxiter": 60,
-                                                "threads": threads}, seed=3).to_json_dict(),
+            "inner": inner_minimize(d, 1, 0.8, {"starts": 4, "maxiter": 60}, seed=3).to_json_dict(),
         }
         return json.dumps(out, sort_keys=True)
 

@@ -7,7 +7,6 @@ from pottsglass.cli import (
     _COMMANDS,
     _default_cascade_arrays,
     _equal_split_path,
-    _merge_config,
     build_named_path,
     main,
     render_report,
@@ -214,12 +213,14 @@ class TestMalformedInput:
             ["free-energy", "--N", "3", "--samples", "2", "--beta", "-1"],
             ["cascade-verify", "--reps", "4", "--atoms", "20", "--beta", "-1"],
             ["diag-interp", "--reps", "4", "--atoms", "20", "--beta", "-1"],
+            ["optimize", "--nonneg-gamma"],
         ],
         ids=["int", "kappa", "seed", "d-short", "d-long", "method", "unread-flag",
              "eval-kappa-0", "cascade-kappa-0", "eval-kappa-negative", "optimize-kappa-0",
              "ass-kappa-0", "ass-N-0", "ass-M-negative", "bins-0", "gg-n-0", "path-kappa",
              "free-energy-kappa-0", "beta-nan", "t-nan", "threads-0", "threads-negative",
-             "free-energy-beta-negative", "cascade-beta-negative", "interp-beta-negative"],
+             "free-energy-beta-negative", "cascade-beta-negative", "interp-beta-negative",
+             "nonneg-gamma"],
     )
     def test_flags_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "path.json"
@@ -232,11 +233,10 @@ class TestMalformedInput:
         "command,params",
         [
             ("free-energy", {"N": "x"}),
-            ("optimize", {"nonneg_gamma": "maybe"}),
             ("eval-parisi", {"samples": 3}),
             ("eval-parisi", {"d": [0.5, "half"]}),
         ],
-        ids=["int", "bool", "unknown", "list"],
+        ids=["int", "unknown", "list"],
     )
     def test_config_params_exit_2(self, command, params, tmp_path, capsys):
         assert main([command, "--config", write_config(tmp_path, params)]) == 2
@@ -247,17 +247,11 @@ class TestMalformedInput:
         cfg.write_text(json.dumps({"seed": -3}))
         assert main(["eval-parisi", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("text,value", [("false", False), ("true", True), (False, False)])
-    def test_config_switch_is_read_as_written(self, text, value, tmp_path):
-        _, table = _COMMANDS["optimize"]
-        p = _merge_config({"config": write_config(tmp_path, {"nonneg_gamma": text})}, table)
-        assert p["nonneg_gamma"] is value
-
 
 class TestFlagTables:
     def test_each_subcommand_accepts_only_what_it_reads(self):
         assert len(_COMMANDS) == 10
-        assert sum(len(table) for _, table in _COMMANDS.values()) == 70
+        assert sum(len(table) for _, table in _COMMANDS.values()) == 69
 
     def test_help_lists_the_table(self, capsys):
         assert main(["diag-sync", "--help"]) == 0
