@@ -13,6 +13,7 @@ from .model import (
     DisorderInstance,
     config_energies,
     enumerate_configs,
+    mean_energy,
     perturbation_covariance,
     quadratic_forms,
 )
@@ -162,7 +163,7 @@ def interpolation_curve(
         sample = sample_cascade(spec, rng)
         z = sample_leaf_fields(sample, cov_inc, rng, n_copies=N)
         y = sample_leaf_fields(sample, var_inc, rng)[:, 0, 0]
-        h = config_energies(configs, g.g)
+        h = config_energies(configs, g.g) - mean_energy(g.g, kappa, counts)
         zterm = config_field_sum(z, configs - 1)
         logv = sample.log_leaf_weights
         out = np.empty(t_grid.size + 1)

@@ -122,16 +122,33 @@ def config_energies(configs, g):
     return out
 
 
+def mean_energy(g, kappa, counts=None):
+    """Mean of H over {1..kappa}^N or the type class of counts:
+    sum_ij g_ij P(sigma_i = sigma_j) / sqrt N, with P = 1 on the diagonal and
+    1/kappa or sum_k n_k (n_k - 1) / (N (N - 1)) off it.  E_g H_sigma = 0, so
+    subtracting beta * mean_energy / N per draw keeps (1/N) E log Z and removes
+    the sigma-independent disorder mode, the bulk of the per-draw spread."""
+    n = g.shape[0]
+    diag = float(np.trace(g))
+    if counts is None:
+        same = 1.0 / kappa
+    else:
+        c = np.asarray(counts, dtype=float)
+        same = float(np.sum(c * (c - 1.0))) / max(n * (n - 1), 1)
+    return (diag + same * (float(g.sum()) - diag)) / np.sqrt(n)
+
+
 def enumerate_free_energy(N, kappa, beta, n_disorder=200, seed=0, constraint=None, threads=1):
-    """Exact per-draw (1/N) log Z averaged over disorder draws."""
+    """Exact per-draw (1/N) log Z of the centred H - mean_energy, averaged."""
     if n_disorder < 2:
         raise ValidationError("need at least 2 disorder draws")
     counts = constraint.counts(N) if constraint is not None else None
     configs = enumerate_configs(N, kappa, counts)
 
     def one(i):
-        g = DisorderInstance(N, seed, draw=i)
-        return float(logsumexp(beta * config_energies(configs, g.g)) / N)
+        g = DisorderInstance(N, seed, draw=i).g
+        h = config_energies(configs, g) - mean_energy(g, kappa, counts)
+        return float(logsumexp(beta * h) / N)
 
     values = np.asarray(map_indexed(one, n_disorder, threads))
     return EvalResult(
@@ -180,7 +197,7 @@ def _initial_configuration(counts):
 
 
 def _ti_instance(g, counts, beta_grid, sweeps, burn, rng):
-    """Thermodynamic integration of <H>/N along a tempered beta ladder."""
+    """Thermodynamic integration of <H - mean_energy>/N on a tempered ladder."""
     n = g.N
     sqrt_n = np.sqrt(n)
     s_sum = g.g + g.g.T
@@ -208,7 +225,7 @@ def _ti_instance(g, counts, beta_grid, sweeps, burn, rng):
         if sweep >= burn:
             mean_h += energies
             kept += 1
-    mean_h /= kept
+    mean_h = mean_h / kept - mean_energy(g.g, counts.size, counts)
     entropy = _log_multinomial(counts) / n
     value = entropy + float(np.trapezoid(mean_h, beta_grid)) / n
     swap_rate = swap_accepts / swap_attempts if swap_attempts else 1.0
@@ -229,6 +246,8 @@ def mcmc_free_energy(
 ):
     """Constrained free energy by pair-swap Metropolis with parallel tempering
     and thermodynamic integration from the exact zero-temperature-side entropy."""
+    if kappa != d.kappa:
+        raise ValidationError(f"d has {d.kappa} states but kappa is {kappa}")
     counts = d.counts(N)
     if n_disorder < 2:
         raise ValidationError("need at least 2 disorder draws")

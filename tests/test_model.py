@@ -16,6 +16,7 @@ from pottsglass.model import (
     enumerate_free_energy,
     hamiltonian,
     mcmc_free_energy,
+    mean_energy,
     overlap,
     perturbation_covariance,
     quadratic_forms,
@@ -168,6 +169,20 @@ class TestConfigEnergies:
             assert h[row] == pytest.approx(hamiltonian(g, configs[row]), rel=1e-12, abs=1e-12)
 
 
+class TestMeanEnergy:
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 5, 8])
+    @pytest.mark.parametrize("kind", ["free", "balanced", "empty-state"])
+    def test_is_the_mean_over_the_configuration_set(self, kind, N, kappa):
+        counts = None
+        if kind != "free":
+            k = kappa - 1 if kind == "empty-state" else kappa
+            counts = [N // k + (j < N % k) for j in range(k)] + [0] * (kappa - k)
+        g = DisorderInstance(N, seed=11, draw=kappa).g
+        energies = config_energies(enumerate_configs(N, kappa, counts), g)
+        assert mean_energy(g, kappa, counts) == pytest.approx(energies.mean(), rel=0, abs=1e-12)
+
+
 class TestEnumerateFreeEnergy:
     def test_large_n_small_minority_is_a_budget_error(self):
         d = StateDistribution(np.array([0.9998, 0.0002]))
@@ -216,6 +231,19 @@ class TestMcmc:
         tol = 4.0 * (res_m.std_error + res_e.std_error) + 0.02
         assert abs(res_m.value - res_e.value) <= tol
         assert res_m.diagnostics["warnings"] == []
+
+    def test_kappa_must_match_d(self):
+        with pytest.raises(ValidationError):
+            mcmc_free_energy(6, 3, 0.5, StateDistribution.uniform(2), n_disorder=2, sweeps=2, burn=1)
+
+    def test_within_the_annealed_bound_at_n48(self):
+        # the two draws of the finite-size benchmark's seed 144, rep 2: both
+        # sit high on the sigma-independent disorder mode (beta * mean_energy
+        # / N = +0.089 and +0.102), and uncentred they read 1.2160
+        d = StateDistribution.uniform(3)
+        res = mcmc_free_energy(48, 3, 1.0, d, n_disorder=2, seed=1009533187)
+        annealed = res.diagnostics["entropy_term"] + 0.5 * float(np.sum(d.d**2))
+        assert res.value <= annealed + 3.0 * res.std_error
 
 
 class TestPerturbationSpec:
