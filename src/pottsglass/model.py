@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from math import factorial, lgamma, prod
 
 import numpy as np
+from scipy.integrate import simpson
 
 from .core import EvalResult, freeze
 from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
@@ -168,68 +169,108 @@ def _log_multinomial(counts):
     return lgamma(counts.sum() + 1) - sum(lgamma(c + 1) for c in counts)
 
 
-def _pair_swap_sweep(sigma, s_sum, beta, sqrt_n, rng):
-    """One Metropolis sweep of N attempted label swaps; returns (accepts, H shift)."""
-    n = sigma.size
-    accepted = 0
-    dh_total = 0.0
-    for _ in range(n):
-        i, j = rng.integers(0, n, size=2)
-        a, b = sigma[i], sigma[j]
-        if a == b:
-            continue
-        row = s_sum[i] - s_sum[j]
-        mask_b = sigma == b
-        mask_a = sigma == a
-        dh = row @ (mask_b.astype(float) - mask_a.astype(float))
-        # remove the i/j self contributions: site i leaves state a, j leaves b
-        dh -= row[i] * (0.0 - 1.0) + row[j] * (1.0 - 0.0)
-        dh /= sqrt_n
-        if dh >= 0 or rng.random() < np.exp(beta * dh):
-            sigma[i], sigma[j] = b, a
-            accepted += 1
-            dh_total += dh
-    return accepted, dh_total
+@dataclass(frozen=True)
+class _Ladders:
+    """State and tallies of the tempered chains after a kernel run, indexed
+    by (draw, rung): labels in 0..kappa-1, local fields, energies, the mean
+    energy over the kept sweeps, and the Metropolis and exchange acceptance
+    rates over all sweeps."""
+
+    labels: np.ndarray  # (D, R, N)
+    fields: np.ndarray  # (D, R, kappa, N)
+    energy: np.ndarray  # (D, R)
+    mean_energy: np.ndarray  # (D, R)
+    move_rate: np.ndarray  # (D, R)
+    exchange_rate: np.ndarray  # (D, R - 1)
 
 
-def _initial_configuration(counts):
-    return np.repeat(np.arange(1, counts.size + 1), counts)
+def _tempered_ladders(s_sum, counts, beta_grid, sweeps, burn, rngs):
+    """Pair-swap Metropolis with parallel tempering, every (draw, rung) chain
+    advanced at once.
 
-
-def _ti_instance(g, counts, beta_grid, sweeps, burn, rng):
-    """Thermodynamic integration of <H - mean_energy>/N on a tempered ladder."""
-    n = g.N
+    s_sum is the (D, N, N) stack of g + g^T and rngs holds one generator per
+    draw.  The local fields F[c, k, i] = sum_l s_sum[i, l] 1{sigma_l = k} make
+    the energy change of swapping the labels a, b of sites i, j O(1):
+    sqrt(N) dH = F[b, i] - F[a, i] + F[a, j] - F[b, j] + s_ii + s_jj - 2 s_ij.
+    An accepted swap moves row j - row i of s_sum between F[a] and F[b].  Each
+    sweep, every draw takes its proposals (N, 2, R), Metropolis uniforms
+    (N, R) and exchange uniforms (R - 1,) from its own generator, so a draw
+    evolves as it would alone.  A move is accepted when
+    u < exp(min(beta dH, 0)); then neighbouring rungs exchange configurations
+    by the same rule with (beta_{r+1} - beta_r)(H_r - H_{r+1}).
+    """
+    n_draw, n, _ = s_sum.shape
+    kappa, n_rung = counts.size, beta_grid.size
+    n_chain = n_draw * n_rung
+    chain = np.arange(n_chain)
+    draw = chain // n_rung
+    beta = np.tile(beta_grid, n_draw)
     sqrt_n = np.sqrt(n)
-    s_sum = g.g + g.g.T
-    n_chain = beta_grid.size
-    sigmas = [_initial_configuration(counts).copy() for _ in range(n_chain)]
-    for s in sigmas:
-        rng.shuffle(s)
-    energies = np.array([hamiltonian(g, s) for s in sigmas])
-    mean_h = np.zeros(n_chain)
-    kept = 0
-    swap_attempts = 0
-    swap_accepts = 0
+    start = np.repeat(np.arange(kappa), counts)
+    labels = np.concatenate([rng.permuted(np.tile(start, (n_rung, 1)), axis=1) for rng in rngs])
+    one_hot = (labels[:, None, :] == np.arange(kappa)[:, None]).astype(float)
+    fields = (one_hot.reshape(n_draw, n_rung, kappa, n) @ s_sum[:, None]).reshape(n_chain, kappa, n)
+    energy = np.take_along_axis(fields, labels[:, None, :], axis=1).sum(axis=(1, 2)) / (2.0 * sqrt_n)
+    # flat views: labels[c, i] is flat_labels[c N + i], fields[c, k, i] is
+    # flat_fields[c kappa N + k N + i] = field_rows[c kappa + k, i], and
+    # s_sum[d, i, j] is s_rows[d N + i, j]
+    flat_labels, flat_fields = labels.reshape(-1), fields.reshape(-1)
+    field_rows, s_rows = fields.reshape(n_chain * kappa, n), s_sum.reshape(n_draw * n, n)
+    label_start, field_start, s_start = chain * n, chain * (kappa * n), draw * n
+    label_offset = np.arange(kappa) * n
+    s_diag = np.diagonal(s_sum, axis1=1, axis2=2).ravel()
+    rung_labels = labels.reshape(n_draw, n_rung, n)
+    rung_fields = fields.reshape(n_draw, n_rung, kappa, n)
+    rung_energy = energy.reshape(n_draw, n_rung)
+    total = np.zeros((n_draw, n_rung))
+    moves = np.zeros(n_chain, dtype=np.int64)
+    exchanges = np.zeros((n_draw, n_rung - 1), dtype=np.int64)
     for sweep in range(burn + sweeps):
-        for c in range(n_chain):
-            _, dh = _pair_swap_sweep(sigmas[c], s_sum, beta_grid[c], sqrt_n, rng)
-            energies[c] += dh
-        # neighbor exchange pass
-        for c in range(n_chain - 1):
-            swap_attempts += 1
-            log_acc = (beta_grid[c + 1] - beta_grid[c]) * (energies[c] - energies[c + 1])
-            if log_acc >= 0 or rng.random() < np.exp(log_acc):
-                sigmas[c], sigmas[c + 1] = sigmas[c + 1], sigmas[c]
-                energies[c], energies[c + 1] = energies[c + 1], energies[c]
-                swap_accepts += 1
+        drawn = [(rng.integers(0, n, size=(n, 2, n_rung)), rng.random((n, n_rung)),
+                  rng.random(n_rung - 1)) for rng in rngs]
+        pairs = np.stack([p for p, _, _ in drawn], axis=2).reshape(n, 2, n_chain)
+        uniforms = np.stack([u for _, u, _ in drawn], axis=1).reshape(n, n_chain)
+        exchange_u = np.stack([x for _, _, x in drawn])
+        site_i, site_j = pairs[:, 0], pairs[:, 1]
+        at_i, at_j = label_start + site_i, label_start + site_j
+        field_i, field_j = field_start + site_i, field_start + site_j
+        row_i, row_j = s_start + site_i, s_start + site_j
+        own = s_diag[row_i] + s_diag[row_j] - 2.0 * s_rows[row_i, site_j]
+        for t in range(n):
+            a, b = flat_labels[at_i[t]], flat_labels[at_j[t]]
+            an, bn = label_offset[a], label_offset[b]
+            fi, fj = field_i[t], field_j[t]
+            dh = (flat_fields[fi + bn] - flat_fields[fi + an] + flat_fields[fj + an]
+                  - flat_fields[fj + bn] + own[t]) / sqrt_n
+            move = (uniforms[t] < np.exp(np.minimum(beta * dh, 0.0))) & (a != b)
+            moves += move
+            c = move.nonzero()[0]
+            if c.size:
+                ac, bc = a[c], b[c]
+                flat_labels[at_i[t][c]] = bc
+                flat_labels[at_j[t][c]] = ac
+                delta = s_rows[row_j[t][c]] - s_rows[row_i[t][c]]
+                field_rows[c * kappa + ac] += delta
+                field_rows[c * kappa + bc] -= delta
+                energy[c] += dh[c]
+        for r in range(n_rung - 1):
+            log_acc = (beta_grid[r + 1] - beta_grid[r]) * (rung_energy[:, r] - rung_energy[:, r + 1])
+            swap = exchange_u[:, r] < np.exp(np.minimum(log_acc, 0.0))
+            exchanges[:, r] += swap
+            for arr in (rung_labels, rung_fields, rung_energy):
+                pair = arr[:, r : r + 2]
+                pair[swap] = pair[swap, ::-1]
         if sweep >= burn:
-            mean_h += energies
-            kept += 1
-    mean_h = mean_h / kept - mean_energy(g.g, counts.size, counts)
-    entropy = _log_multinomial(counts) / n
-    value = entropy + float(np.trapezoid(mean_h, beta_grid)) / n
-    swap_rate = swap_accepts / swap_attempts if swap_attempts else 1.0
-    return value, mean_h, swap_rate
+            total += rung_energy
+    n_sweep = burn + sweeps
+    return _Ladders(
+        labels=rung_labels,
+        fields=rung_fields,
+        energy=rung_energy,
+        mean_energy=total / sweeps,
+        move_rate=moves.reshape(n_draw, n_rung) / (n_sweep * n),
+        exchange_rate=exchanges / n_sweep,
+    )
 
 
 def mcmc_free_energy(
@@ -245,26 +286,53 @@ def mcmc_free_energy(
     threads=1,
 ):
     """Constrained free energy by pair-swap Metropolis with parallel tempering
-    and thermodynamic integration from the exact zero-temperature-side entropy."""
+    and thermodynamic integration from the exact zero-temperature-side entropy.
+
+    Every draw's ladder runs in one batched kernel (``_tempered_ladders``),
+    each from its own stream (seed, 0x3C3C, N, draw), so the report does not
+    depend on ``threads``, which is accepted and not read.  Each draw's value
+    is the entropy term plus the trapezoid integral over the rungs of its
+    centred mean energy <H - mean_energy> / N; ``ti_simpson_gap`` is the
+    trapezoid minus the Simpson integral of the draw-averaged rung energies
+    (over N), a gauge of the quadrature error.  ``metropolis_acceptance`` (per
+    rung) and ``exchange_acceptance`` (per rung pair) are draw averages over
+    all burn-in and kept sweeps, and ``swap_acceptance`` is the mean of the
+    latter.  ``energy_drift`` is the largest gap between a chain's tracked
+    energy and its Hamiltonian recomputed after the last sweep; above 1e-8 it
+    is a warning.
+    """
     if kappa != d.kappa:
         raise ValidationError(f"d has {d.kappa} states but kappa is {kappa}")
-    counts = d.counts(N)
     if n_disorder < 2:
         raise ValidationError("need at least 2 disorder draws")
+    if sweeps < 1:
+        raise ValidationError("sweeps must be at least 1")
+    if burn < 0:
+        raise ValidationError("burn must be nonnegative")
+    counts = d.counts(N)
     beta_grid = np.linspace(0.0, beta, max(n_beta, 2))
-
-    def one(i):
-        g = DisorderInstance(N, seed, draw=i)
-        rng = stream(seed, 0x3C3C, N, i)
-        return _ti_instance(g, counts, beta_grid, sweeps, burn, rng)
-
-    results = map_indexed(one, n_disorder, threads)
-    values = np.asarray([r[0] for r in results])
-    grid_means = np.mean([r[1] for r in results], axis=0)
-    swap_rate = float(np.mean([r[2] for r in results]))
+    draws = [DisorderInstance(N, seed, draw=i) for i in range(n_disorder)]
+    rngs = [stream(seed, 0x3C3C, N, i) for i in range(n_disorder)]
+    run = _tempered_ladders(
+        np.stack([g.g + g.g.T for g in draws]), counts, beta_grid, sweeps, burn, rngs
+    )
+    drift = max(
+        abs(run.energy[i, r] - hamiltonian(g, run.labels[i, r] + 1))
+        for i, g in enumerate(draws)
+        for r in range(beta_grid.size)
+    )
+    centre = np.array([mean_energy(g.g, kappa, counts) for g in draws])
+    mean_h = run.mean_energy - centre[:, None]
+    entropy = _log_multinomial(counts) / N
+    values = entropy + np.trapezoid(mean_h, beta_grid, axis=1) / N
+    grid_means = mean_h.mean(axis=0)
+    simpson_gap = (np.trapezoid(grid_means, beta_grid) - simpson(grid_means, x=beta_grid)) / N
+    swap_rate = float(run.exchange_rate.mean())
     warnings = []
     if beta > 0 and swap_rate < 0.01:
         warnings.append(f"tempering swap acceptance {swap_rate:.4f} below 1%")
+    if drift > 1e-8:
+        warnings.append(f"tracked energies drifted {drift:.2e} from the Hamiltonian")
     return EvalResult(
         float(values.mean()),
         jackknife_se(values),
@@ -274,8 +342,12 @@ def mcmc_free_energy(
             "beta_grid": [float(b) for b in beta_grid],
             "grid_mean_energy": [float(v) for v in grid_means],
             "swap_acceptance": swap_rate,
+            "metropolis_acceptance": [float(v) for v in run.move_rate.mean(axis=0)],
+            "exchange_acceptance": [float(v) for v in run.exchange_rate.mean(axis=0)],
+            "ti_simpson_gap": float(simpson_gap),
+            "energy_drift": float(drift),
             "warnings": warnings,
-            "entropy_term": _log_multinomial(counts) / N,
+            "entropy_term": entropy,
         },
     )
 

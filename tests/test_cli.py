@@ -125,6 +125,15 @@ class TestOutputFormats:
         assert main(args + ["--threads", "2", "--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_mcmc_bytes_do_not_depend_on_threads(self, capsys):
+        args = ["free-energy", "--method", "mcmc", "--N", "6", "--kappa", "3", "--beta", "0.8",
+                "--samples", "3", "--seed", "5"]
+        reports = []
+        for threads in ("1", "2"):
+            assert main(args + ["--threads", threads]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_json_sorted_keys(self, capsys):
         assert main(["eval-parisi", "--kappa", "2", "--beta", "0"]) == 0
         out = capsys.readouterr().out

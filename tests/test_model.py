@@ -9,7 +9,7 @@ from pottsglass.core import StateDistribution
 from pottsglass.model import (
     DisorderInstance,
     PerturbationSpec,
-    _pair_swap_sweep,
+    _tempered_ladders,
     ass_covariance_check,
     config_energies,
     enumerate_configs,
@@ -21,7 +21,7 @@ from pottsglass.model import (
     perturbation_covariance,
     quadratic_forms,
 )
-from pottsglass.util import BudgetError, ValidationError
+from pottsglass.util import BudgetError, ValidationError, stream
 
 
 class TestDisorderInstance:
@@ -205,24 +205,72 @@ class TestEnumerateFreeEnergy:
         assert res.diagnostics["n_configurations"] == 2
 
 
+def _ladders(n, counts, draws, n_rung=9, sweeps=20, burn=5, seed=5):
+    """Run the tempered kernel on the given draws of (seed, n), each from the
+    stream mcmc_free_energy gives it."""
+    g = np.stack([DisorderInstance(n, seed, draw=i).g for i in draws])
+    s_sum = g + g.transpose(0, 2, 1)
+    rngs = [stream(seed, 0x3C3C, n, i) for i in draws]
+    beta_grid = np.linspace(0.0, 1.5, n_rung)
+    return s_sum, _tempered_ladders(s_sum, np.asarray(counts), beta_grid, sweeps, burn, rngs)
+
+
 class TestMcmc:
-    def test_sweep_energy_bookkeeping(self):
-        g = DisorderInstance(10, seed=5)
-        rng = seeded(31, 0)
-        sigma = np.repeat([1, 2], 5)
-        rng.shuffle(sigma)
-        h0 = hamiltonian(g, sigma)
-        s_sum = g.g + g.g.T
-        total = 0.0
-        for _ in range(5):
-            _, dh = _pair_swap_sweep(sigma, s_sum, 0.8, np.sqrt(10), rng)
-            total += dh
-        assert hamiltonian(g, sigma) == pytest.approx(h0 + total, abs=1e-10)
+    def test_ladder_bookkeeping(self):
+        # kappa = 3, N = 21, 3 draws x 9 rungs: after the sweeps every chain's
+        # tracked energy and local fields match a fresh computation, and the
+        # swaps kept its type counts
+        n, counts = 21, [9, 7, 5]
+        s_sum, run = _ladders(n, counts, range(3))
+        assert run.labels.shape == (3, 9, n) and run.fields.shape == (3, 9, 3, n)
+        assert np.all(run.move_rate > 0) and np.all(run.exchange_rate > 0)
+        for d in range(3):
+            g = DisorderInstance(n, 5, draw=d)
+            for r in range(9):
+                sigma = run.labels[d, r]
+                assert np.array_equal(np.bincount(sigma, minlength=3), counts)
+                assert run.energy[d, r] == pytest.approx(hamiltonian(g, sigma + 1), rel=0, abs=1e-10)
+                one_hot = (sigma[:, None] == np.arange(3)).astype(float)
+                np.testing.assert_allclose(run.fields[d, r], (s_sum[d] @ one_hot).T, rtol=0, atol=1e-10)
+
+    def test_a_draw_runs_as_it_would_alone(self):
+        # each draw reads only its own stream and its own chains, so a batch
+        # reproduces the lone run bit for bit
+        _, batch = _ladders(10, [4, 3, 3], range(3))
+        _, alone = _ladders(10, [4, 3, 3], [1])
+        np.testing.assert_array_equal(batch.labels[1], alone.labels[0])
+        np.testing.assert_array_equal(batch.mean_energy[1], alone.mean_energy[0])
+        np.testing.assert_array_equal(batch.move_rate[1], alone.move_rate[0])
+
+    @pytest.mark.parametrize("sweeps,burn", [(0, 5), (5, -1)], ids=["no-sweeps", "negative-burn"])
+    def test_sweeps_and_burn_are_checked(self, sweeps, burn):
+        d = StateDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError):
+            mcmc_free_energy(6, 2, 0.5, d, n_disorder=2, sweeps=sweeps, burn=burn)
 
     def test_beta_zero_is_entropy(self):
         d = StateDistribution(np.array([0.5, 0.5]))
         res = mcmc_free_energy(6, 2, 0.0, d, n_disorder=2, sweeps=5, burn=2)
         assert res.value == pytest.approx(np.log(20) / 6, abs=1e-12)
+        # every exchange between rungs at one temperature is accepted
+        assert res.diagnostics["exchange_acceptance"] == [1.0] * 8
+        assert res.diagnostics["swap_acceptance"] == 1.0
+
+    def test_diagnostics(self):
+        d = StateDistribution.uniform(3)
+        res = mcmc_free_energy(9, 3, 1.2, d, n_disorder=2, sweeps=40, burn=0, seed=4)
+        diag = res.diagnostics
+        moves, exchanges = diag["metropolis_acceptance"], diag["exchange_acceptance"]
+        assert len(moves) == 9 and len(exchanges) == 8
+        assert all(0.0 < v <= 1.0 for v in moves + exchanges)
+        assert diag["swap_acceptance"] == pytest.approx(np.mean(exchanges), abs=1e-15)
+        assert 0.0 <= diag["energy_drift"] < 1e-12 and diag["warnings"] == []
+        # composite trapezoid minus composite Simpson on the 9-point grid
+        h = 1.2 / 8
+        trapezoid = h * np.array([0.5] + [1.0] * 7 + [0.5])
+        simpson = h / 3 * np.array([1, 4, 2, 4, 2, 4, 2, 4, 1])
+        gap = float((trapezoid - simpson) @ diag["grid_mean_energy"]) / 9
+        assert diag["ti_simpson_gap"] == pytest.approx(gap, rel=1e-9, abs=1e-15)
 
     def test_matches_enumeration(self):
         d = StateDistribution(np.array([0.5, 0.5]))
@@ -239,7 +287,9 @@ class TestMcmc:
     def test_within_the_annealed_bound_at_n48(self):
         # the two draws of the finite-size benchmark's seed 144, rep 2: both
         # sit high on the sigma-independent disorder mode (beta * mean_energy
-        # / N = +0.089 and +0.102), and uncentred they read 1.2160
+        # / N = +0.089 and +0.102).  Uncentred they read 1.2179 (1.2160 with
+        # the former per-attempt draws), above the annealed 1.1804; centred
+        # they read 1.1224 +- 0.0018
         d = StateDistribution.uniform(3)
         res = mcmc_free_energy(48, 3, 1.0, d, n_disorder=2, seed=1009533187)
         annealed = res.diagnostics["entropy_term"] + 0.5 * float(np.sum(d.d**2))
