@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import factorial, lgamma, prod
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import EvalResult, freeze
 from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
@@ -294,7 +293,8 @@ def mcmc_free_energy(
     is the entropy term plus the trapezoid integral over the rungs of its
     centred mean energy <H - mean_energy> / N; ``ti_simpson_gap`` is the
     trapezoid minus the Simpson integral of the draw-averaged rung energies
-    (over N), a gauge of the quadrature error.  ``metropolis_acceptance`` (per
+    (over N, on the first 2 floor((R - 1) / 2) + 1 rungs), a gauge of the
+    quadrature error.  ``metropolis_acceptance`` (per
     rung) and ``exchange_acceptance`` (per rung pair) are draw averages over
     all burn-in and kept sweeps, and ``swap_acceptance`` is the mean of the
     latter.  ``energy_drift`` is the largest gap between a chain's tracked
@@ -326,7 +326,11 @@ def mcmc_free_energy(
     entropy = _log_multinomial(counts) / N
     values = entropy + np.trapezoid(mean_h, beta_grid, axis=1) / N
     grid_means = mean_h.mean(axis=0)
-    simpson_gap = (np.trapezoid(grid_means, beta_grid) - simpson(grid_means, x=beta_grid)) / N
+    # on an odd uniform grid Simpson is (4 T_h - T_2h) / 3, so the trapezoid
+    # minus Simpson is (T_2h - T_h) / 3; an even ladder drops its last rung
+    odd = beta_grid.size - 1 + beta_grid.size % 2
+    y, x = grid_means[:odd], beta_grid[:odd]
+    simpson_gap = (np.trapezoid(y[::2], x[::2]) - np.trapezoid(y, x)) / (3.0 * N)
     swap_rate = float(run.exchange_rate.mean())
     warnings = []
     if beta > 0 and swap_rate < 0.01:

@@ -256,20 +256,23 @@ class TestMcmc:
         assert res.diagnostics["exchange_acceptance"] == [1.0] * 8
         assert res.diagnostics["swap_acceptance"] == 1.0
 
-    def test_diagnostics(self):
+    @pytest.mark.parametrize("n_beta", [9, 4])
+    def test_diagnostics(self, n_beta):
         d = StateDistribution.uniform(3)
-        res = mcmc_free_energy(9, 3, 1.2, d, n_disorder=2, sweeps=40, burn=0, seed=4)
+        res = mcmc_free_energy(9, 3, 1.2, d, n_disorder=2, n_beta=n_beta, sweeps=40, burn=0, seed=4)
         diag = res.diagnostics
         moves, exchanges = diag["metropolis_acceptance"], diag["exchange_acceptance"]
-        assert len(moves) == 9 and len(exchanges) == 8
+        assert len(moves) == n_beta and len(exchanges) == n_beta - 1
         assert all(0.0 < v <= 1.0 for v in moves + exchanges)
         assert diag["swap_acceptance"] == pytest.approx(np.mean(exchanges), abs=1e-15)
         assert 0.0 <= diag["energy_drift"] < 1e-12 and diag["warnings"] == []
-        # composite trapezoid minus composite Simpson on the 9-point grid
-        h = 1.2 / 8
-        trapezoid = h * np.array([0.5] + [1.0] * 7 + [0.5])
-        simpson = h / 3 * np.array([1, 4, 2, 4, 2, 4, 2, 4, 1])
-        gap = float((trapezoid - simpson) @ diag["grid_mean_energy"]) / 9
+        # composite trapezoid minus composite Simpson on the odd rung prefix
+        # (9 rungs, or 3 of 4)
+        m = 9 if n_beta == 9 else 3
+        h = 1.2 / (n_beta - 1)
+        trapezoid = h * np.array([0.5] + [1.0] * (m - 2) + [0.5])
+        simpson = h / 3 * np.array([1] + [4, 2] * ((m - 3) // 2) + [4, 1])
+        gap = float((trapezoid - simpson) @ diag["grid_mean_energy"][:m]) / 9
         assert diag["ti_simpson_gap"] == pytest.approx(gap, rel=1e-9, abs=1e-15)
 
     def test_matches_enumeration(self):
