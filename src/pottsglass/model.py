@@ -257,8 +257,8 @@ def _tempered_ladders(s_sum, counts, beta_grid, sweeps, burn, rngs):
             swap = exchange_u[:, r] < np.exp(np.minimum(log_acc, 0.0))
             exchanges[:, r] += swap
             for arr in (rung_labels, rung_fields, rung_energy):
-                pair = arr[:, r : r + 2]
-                pair[swap] = pair[swap, ::-1]
+                neighbours = arr[:, r : r + 2]
+                neighbours[swap] = neighbours[swap, ::-1]
         if sweep >= burn:
             total += rung_energy
     n_sweep = burn + sweeps
@@ -294,12 +294,12 @@ def mcmc_free_energy(
     centred mean energy <H - mean_energy> / N; ``ti_simpson_gap`` is the
     trapezoid minus the Simpson integral of the draw-averaged rung energies
     (over N, on the first 2 floor((R - 1) / 2) + 1 rungs), a gauge of the
-    quadrature error.  ``metropolis_acceptance`` (per
-    rung) and ``exchange_acceptance`` (per rung pair) are draw averages over
-    all burn-in and kept sweeps, and ``swap_acceptance`` is the mean of the
-    latter.  ``energy_drift`` is the largest gap between a chain's tracked
-    energy and its Hamiltonian recomputed after the last sweep; above 1e-8 it
-    is a warning.
+    quadrature error.  ``metropolis_acceptance`` (per rung) and
+    ``exchange_acceptance`` (per rung pair) are draw averages over all burn-in
+    and kept sweeps, and ``swap_acceptance`` is the mean of the latter.
+    ``energy_drift`` is the largest gap between a chain's tracked energy and
+    its Hamiltonian recomputed after the last sweep; above 1e-8 it is a
+    warning.
     """
     if kappa != d.kappa:
         raise ValidationError(f"d has {d.kappa} states but kappa is {kappa}")
