@@ -8,7 +8,8 @@ after it).  Each pair runs ``bench/run.py --trace 0`` once in each checkout,
 the first run of the pair alternating between the two, so a drift in machine
 speed falls on both sides.  The last JSON line of every run is kept as it is;
 the summary gives, per end-to-end metric, both medians, the quartile range
-of the ``before`` runs, their ratio and how many pairs ``after`` won.  With
+of the ``before`` runs, their ratio and how many pairs ``after`` won.  Every
+timed run lasts the ``run_seconds`` of BENCHMARK.json.  With
 ``--trace`` one ``--trace 1`` run per checkout adds the per-layer metrics.
 Results are keyed by workload and seed, and an existing output file gains or
 replaces only that key.
@@ -68,13 +69,11 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per timed run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     checkout = {"before": args.before, "after": args.after}
 
