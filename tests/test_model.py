@@ -205,14 +205,15 @@ class TestEnumerateFreeEnergy:
         assert res.diagnostics["n_configurations"] == 2
 
 
-def _ladders(n, counts, draws, n_rung=9, sweeps=20, burn=5, seed=5):
-    """Run the tempered kernel on the given draws of (seed, n), each from the
-    stream mcmc_free_energy gives it."""
+def _ladders(n, counts, draws, seed=5):
+    """20 sweeps after 5 of burn-in of the tempered kernel on 9 rungs up to
+    beta = 1.5, over the given draws of (seed, n), each from the stream
+    mcmc_free_energy gives it."""
     g = np.stack([DisorderInstance(n, seed, draw=i).g for i in draws])
     s_sum = g + g.transpose(0, 2, 1)
     rngs = [stream(seed, 0x3C3C, n, i) for i in draws]
-    beta_grid = np.linspace(0.0, 1.5, n_rung)
-    return s_sum, _tempered_ladders(s_sum, np.asarray(counts), beta_grid, sweeps, burn, rngs)
+    beta_grid = np.linspace(0.0, 1.5, 9)
+    return s_sum, _tempered_ladders(s_sum, np.asarray(counts), beta_grid, 20, 5, rngs)
 
 
 class TestMcmc:
@@ -225,7 +226,7 @@ class TestMcmc:
         assert run.labels.shape == (3, 9, n) and run.fields.shape == (3, 9, 3, n)
         assert np.all(run.move_rate > 0) and np.all(run.exchange_rate > 0)
         for d in range(3):
-            g = DisorderInstance(n, 5, draw=d)
+            g = DisorderInstance(n, seed=5, draw=d)
             for r in range(9):
                 sigma = run.labels[d, r]
                 assert np.array_equal(np.bincount(sigma, minlength=3), counts)
