@@ -208,7 +208,10 @@ def _tempered_ladders(s_sum, counts, beta_grid, sweeps, burn, rngs):
     start = np.repeat(np.arange(kappa), counts)
     labels = np.concatenate([rng.permuted(np.tile(start, (n_rung, 1)), axis=1) for rng in rngs])
     one_hot = (labels[:, None, :] == np.arange(kappa)[:, None]).astype(float)
-    fields = (one_hot.reshape(n_draw, n_rung, kappa, n) @ s_sum[:, None]).reshape(n_chain, kappa, n)
+    # einsum, not a BLAS matmul: the first gemm call maps OpenBLAS's work
+    # buffer, about 0.4 MB of resident memory for this one product
+    fields = np.einsum("drkm,dmn->drkn", one_hot.reshape(n_draw, n_rung, kappa, n), s_sum)
+    fields = fields.reshape(n_chain, kappa, n)
     energy = np.take_along_axis(fields, labels[:, None, :], axis=1).sum(axis=(1, 2)) / (2.0 * sqrt_n)
     # flat views: labels[c, i] is flat_labels[c N + i], fields[c, k, i] is
     # flat_fields[c kappa N + k N + i] = field_rows[c kappa + k, i], and
