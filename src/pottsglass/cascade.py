@@ -5,9 +5,13 @@ zeta t^{-1-zeta} dt, generated as u_j = Gamma_j^{-1/zeta} from exponential
 partial sums.  Leaf weights are products of the unnormalized atoms along
 root-to-leaf paths, normalized once across all leaves; normalizing per node
 instead would keep the log-moment recursion but break the joint overlap
-distribution, so the node totals must be carried through.
+distribution, so the node totals must be carried through.  A leaf average
+of per-level terms factorizes down the tree, so it is folded bottom-up, each
+parent a log-sum-exp over its K children; only drawing leaves builds the
+K^r leaf weights.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +54,43 @@ def _pd_weights(rng, zeta, shape_rows, k):
     return -np.log(gamma) / zeta
 
 
+def _fold(log_atoms, terms):
+    """Bottom-up log sums over the tree, depth r - 1 up to the root.
+
+    Entry q is an array (..., K**q): for each depth-q node, the log of the sum
+    over the leaves below it of the product of the atoms beneath the node
+    times exp of the terms beneath it.  terms[p] is None or an array
+    (..., K**(p+1)) over the depth p+1 nodes, children of one parent
+    contiguous; its leading axes broadcast.  Each parent is one log-sum-exp
+    over its K children on the last axis, shifted by its own largest child.
+    """
+    sums = [None] * len(log_atoms)
+    acc = None
+    for p in range(len(log_atoms) - 1, -1, -1):
+        log_w = log_atoms[p]
+        t = log_w
+        if acc is not None:
+            t = acc.reshape(acc.shape[:-1] + log_w.shape) + t
+        if terms[p] is not None:
+            t = terms[p].reshape(terms[p].shape[:-1] + log_w.shape) + t
+        top = t.max(axis=-1, keepdims=True)
+        shifted = t - top
+        acc = np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + top[..., 0]
+        sums[p] = acc
+    return sums
+
+
 @dataclass(frozen=True)
 class CascadeSample:
-    """A sampled truncated cascade: per-level child weights and leaf weights."""
+    """A sampled truncated cascade: the per-level log atoms.
+
+    log_atoms[p] is the (K**p, K) array of log u over the children of the
+    depth-p nodes, shifted by the level's largest atom; the shifts cancel in
+    every normalized average.
+    """
 
     spec: CascadeSpec
-    level_weights: tuple  # level p: array (K**p, K), unnormalized node atoms
-    leaf_weights: np.ndarray  # (K**r,), sums to 1
+    log_atoms: tuple
 
     @property
     def r(self):
@@ -68,13 +102,27 @@ class CascadeSample:
 
     @property
     def n_leaves(self):
-        return self.leaf_weights.size
+        return self.k**self.r
+
+    @functools.cached_property
+    def _log_masses(self):
+        """Unnormalized log subtree masses, depth 0 (the log total) to r - 1."""
+        return _fold(self.log_atoms, [None] * self.r)
+
+    def log_mean_exp(self, terms):
+        """log sum_leaf v_leaf exp(sum_p terms[p] at the leaf's depth p+1 node)
+        for the normalized leaf weights v, one value per leading index of the
+        terms (see _fold for their layout).  No leaf array is built: each
+        parent folds its children, and the normalization folds the same way."""
+        return _fold(self.log_atoms, terms)[0][..., 0] - self._log_masses[0][0]
 
     @property
-    def log_leaf_weights(self):
-        # underflowed atoms legitimately map to -inf and drop out of logsumexp
-        with np.errstate(divide="ignore"):
-            return np.log(self.leaf_weights)
+    def leaf_weights(self):
+        """The (K**r,) normalized leaf weights, built for drawing leaves."""
+        log_leaf = np.zeros(1)
+        for log_w in self.log_atoms:
+            log_leaf = (log_leaf[:, None] + log_w).reshape(-1)
+        return np.exp(log_leaf - logsumexp(log_leaf))
 
     def leaf_digits(self, indices):
         """Base-K digit paths (depth-major) for flat leaf indices."""
@@ -89,56 +137,60 @@ class CascadeSample:
     def common_depth(self, indices):
         """Pairwise ancestor depth alpha ^ alpha' for an index vector."""
         digits = self.leaf_digits(indices)
-        n = digits.shape[0]
         same = digits[:, None, :] == digits[None, :, :]
         prefix = np.cumprod(same, axis=2)
         depth = prefix.sum(axis=2)
         return depth
 
     def pair_coincidence_masses(self):
-        """sum over pairs with meet depth p of v_a v_a', for p = 0..r."""
+        """sum over pairs with meet depth p of v_a v_a', for p = 0..r.
+
+        The squared subtree masses at depth q sum to a fold of the doubled
+        atoms above q with the doubled depth-q masses as the bottom term.
+        """
+        log_mass = self._log_masses + [None]  # the leaves' own is log 1
         subtree_sq = [1.0]
-        for p in range(1, self.r + 1):
-            sums = self.leaf_weights.reshape(self.k**p, -1).sum(axis=1)
-            subtree_sq.append(float(np.sum(sums**2)))
+        for q in range(1, self.r + 1):
+            doubled = [2.0 * log_w for log_w in self.log_atoms[:q]]
+            bottom = None if log_mass[q] is None else 2.0 * log_mass[q]
+            folded = _fold(doubled, [None] * (q - 1) + [bottom])[0][0]
+            subtree_sq.append(float(np.exp(folded - 2.0 * log_mass[0][0])))
         a = np.asarray(subtree_sq)
         return np.append(-np.diff(a), a[-1])
 
 
 def sample_cascade(spec, rng):
-    """One truncated cascade drawn from the Generator rng."""
+    """One truncated cascade drawn from the Generator rng: all levels' atoms."""
     k = spec.atoms_per_level
     levels = []
-    log_leaf = np.zeros(1)
     for p in range(spec.r):
         log_w = _pd_weights(rng, spec.x[p], k**p, k)
         # one global shift per level cancels in the final normalization and
-        # keeps the stored per-level atoms inside floating-point range
-        log_w = log_w - log_w.max()
-        levels.append(np.exp(log_w))
-        log_leaf = (log_leaf[:, None] + log_w).reshape(-1)
-    leaf = np.exp(log_leaf - logsumexp(log_leaf))
-    return CascadeSample(spec, tuple(levels), leaf)
+        # keeps the atoms inside floating-point range
+        levels.append(log_w - log_w.max())
+    return CascadeSample(spec, tuple(levels))
 
 
-def sample_leaf_fields(sample, cov_increments, rng, n_copies=1):
-    """Gaussian leaf fields with covariance sum of increments up to the meet.
+def sample_level_fields(sample, cov_increments, rng, n_copies=1):
+    """Independent Gaussian node fields, level by level.
 
     cov_increments[p] is the dim x dim covariance of the level-(p+1)
-    increment; a scalar field is the dim = 1 case.  Returns an array of shape
-    (n_leaves, n_copies, dim) with independent copies.
+    increment; a scalar field is the dim = 1 case.  Entry p is an array
+    (n_copies, dim, K**(p+1)) over the depth p+1 nodes, so a leaf's field,
+    the sum of its ancestors' entries, has covariance the sum of the
+    increments up to the meet of two leaves.  Each level draws one standard
+    normal array (K**(p+1), n_copies, dim), after the previous level's.
     """
     k = sample.k
-    r = sample.r
-    if len(cov_increments) != r:
+    if len(cov_increments) != sample.r:
         raise ValidationError("need one covariance increment per level")
-    dim = np.asarray(cov_increments[0]).shape[0]
-    total = np.zeros((sample.n_leaves, n_copies, dim))
-    for p in range(1, r + 1):
-        _, factor = psd_factor(np.asarray(cov_increments[p - 1], dtype=float))
-        g = rng.standard_normal((k**p, n_copies, dim)) @ factor.T
-        total += np.repeat(g, k ** (r - p), axis=0)
-    return total
+    fields = []
+    for p, cov in enumerate(cov_increments):
+        _, factor = psd_factor(np.asarray(cov, dtype=float))
+        z = rng.standard_normal((k ** (p + 1), n_copies, factor.shape[0]))
+        # one contiguous (dim, K**(p+1)) operand per copy keeps the child axis last
+        fields.append(factor @ np.ascontiguousarray(z.transpose(1, 2, 0)))
+    return tuple(fields)
 
 
 def sample_overlap_array(sample, q, phi, n, rng):
@@ -169,10 +221,8 @@ def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
     def one(i):
         rng = stream(seed, 0x11D, k, i)
         sample = sample_cascade(spec, rng)
-        y = sample_leaf_fields(sample, var_inc, rng)[:, 0, 0]
-        return float(
-            logsumexp(sample.log_leaf_weights + beta * np.sqrt(scale_n) * y) / scale_n
-        )
+        y = sample_level_fields(sample, var_inc, rng)
+        return float(sample.log_mean_exp([beta * np.sqrt(scale_n) * g[0, 0] for g in y]) / scale_n)
 
     values = np.asarray(map_indexed(one, reps, threads))
     return float(values.mean()), jackknife_se(values)
@@ -204,17 +254,22 @@ def verify_y_identity(path, beta, scale_N=1, reps=400, atoms_per_level=200, seed
     }
 
 
-def coincidence_masses(spec, n_samples, seed=0):
+def coincidence_masses(spec, n_samples, seed=0, threads=1):
     """Estimated mean pair-coincidence masses over n_samples cascades.
 
+    Sample i is drawn from stream(seed, 0xC01, i); the sums run in index
+    order, so the result does not depend on threads.
     Returns (estimates, standard errors) for meet depths 0..r.
     """
     if n_samples < 2:
         raise ValidationError("need at least 2 cascade samples")
+    per_sample = map_indexed(
+        lambda i: sample_cascade(spec, stream(seed, 0xC01, i)).pair_coincidence_masses(),
+        n_samples, threads,
+    )
     sums = np.zeros(spec.r + 1)
     sq_sums = np.zeros(spec.r + 1)
-    for i in range(n_samples):
-        masses = sample_cascade(spec, stream(seed, 0xC01, i)).pair_coincidence_masses()
+    for masses in per_sample:
         sums += masses
         sq_sums += masses**2
     mean = sums / n_samples

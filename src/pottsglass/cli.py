@@ -27,7 +27,7 @@ from .diagnostics import (
 from .functional import QuadratureSpec, eval_lower_bound, eval_parisi
 from .model import PerturbationSpec, ass_covariance_check, enumerate_free_energy, mcmc_free_energy
 from .optimize import outer_maximize
-from .util import BudgetError, ValidationError, stream
+from .util import BudgetError, ValidationError, map_indexed, stream
 
 
 class Param(NamedTuple):
@@ -278,7 +278,7 @@ def _cmd_cascade_verify(p):
         reps=p["reps"], atoms_per_level=p["atoms"], seed=seed, threads=p["threads"],
     )
     spec = CascadeSpec(tuple(x_levels), p["atoms"])
-    masses, mass_se = coincidence_masses(spec, p["mass_samples"], seed=seed)
+    masses, mass_se = coincidence_masses(spec, p["mass_samples"], seed=seed, threads=p["threads"])
     targets = np.append(np.diff(np.concatenate([[0.0], x_levels])), 1.0 - x_levels[-1])
     report["coincidence"] = {
         "estimates": [float(v) for v in masses],
@@ -288,9 +288,10 @@ def _cmd_cascade_verify(p):
     return report
 
 
-def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed):
+def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed, threads=1):
     """Overlap arrays sampled from a cascade with an equal-split generator:
-    a pair meeting at depth p has the block gamma_p, of trace q_p."""
+    a pair meeting at depth p has the block gamma_p, of trace q_p.  Array i
+    is drawn from stream(seed, 0xA44, i), whatever the thread count."""
     path = _equal_split_path(kappa, x_levels)
     spec = CascadeSpec(tuple(x_levels), atoms)
     q = np.trace(path.gammas, axis1=1, axis2=2)
@@ -298,12 +299,12 @@ def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed):
     def phi(t):
         return path.gammas[int(np.argmin(np.abs(q - t)))]
 
-    arrays = []
-    for i in range(n_arrays):
+    def one(i):
         rng = stream(seed, 0xA44, i)
         sample = sample_cascade(spec, rng)
-        arrays.append(sample_overlap_array(sample, q, phi, n_replicas, rng))
-    return arrays
+        return sample_overlap_array(sample, q, phi, n_replicas, rng)
+
+    return map_indexed(one, n_arrays, threads)
 
 
 @_command(
@@ -313,7 +314,9 @@ def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed):
 )
 def _cmd_diag_gg(p):
     kappa, n, seed = p["kappa"], p["n"], p["seed"]
-    arrays = _default_cascade_arrays(kappa, p["x"], p["arrays"], p["replicas"], p["atoms"], seed)
+    arrays = _default_cascade_arrays(
+        kappa, p["x"], p["arrays"], p["replicas"], p["atoms"], seed, p["threads"]
+    )
     spec = PerturbationSpec(p=1, n=(1,), lambdas=np.ones((1, kappa)) / kappa)
     res_const = gg_residual(arrays, lambda a: 1.0, n, spec, seed=seed)
     res_poly = gg_residual(arrays, lambda a: float(a.traces[0, 1]), n, spec, seed=seed)
@@ -329,7 +332,9 @@ def _cmd_diag_gg(p):
     Param("bins", _count, 20, "trace bins of the fit"),
 )
 def _cmd_diag_sync(p):
-    arrays = _default_cascade_arrays(p["kappa"], p["x"], p["arrays"], p["replicas"], p["atoms"], p["seed"])
+    arrays = _default_cascade_arrays(
+        p["kappa"], p["x"], p["arrays"], p["replicas"], p["atoms"], p["seed"], p["threads"]
+    )
     fit = sync_fit(arrays, n_bins=p["bins"])
     return {
         "grid": [float(v) for v in fit.grid],

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
+from .cascade import CascadeSpec, sample_cascade, sample_level_fields
 from .core import OverlapArray, psd_factor, round_distribution
 from .functional import config_field_sum, eval_f1_restricted, eval_phi
 from .model import (
@@ -161,22 +161,20 @@ def interpolation_curve(
         g = DisorderInstance(N, seed, draw=i)
         rng = stream(seed, 0x17E, i)
         sample = sample_cascade(spec, rng)
-        z = sample_leaf_fields(sample, cov_inc, rng, n_copies=N)
-        y = sample_leaf_fields(sample, var_inc, rng)[:, 0, 0]
+        z = sample_level_fields(sample, cov_inc, rng, n_copies=N)
+        y = [level[0, 0] for level in sample_level_fields(sample, var_inc, rng)]
         h = config_energies(configs, g.g) - mean_energy(g.g, kappa, counts)
-        zterm = config_field_sum(z, configs - 1)
-        logv = sample.log_leaf_weights
+        zterms = [config_field_sum(level, configs - 1) for level in z]
         out = np.empty(t_grid.size + 1)
         for j, t in enumerate(t_grid):
-            a = beta * (
-                np.sqrt(t) * h[None, :]
-                + np.sqrt(1.0 - t) * zterm
-                + np.sqrt(t) * sqrt_n * y[:, None]
-            )
-            out[j] = logsumexp(logv[:, None] + a) / N
+            terms = [
+                beta * (np.sqrt(1.0 - t) * zt + np.sqrt(t) * sqrt_n * yt)
+                for zt, yt in zip(zterms, y)
+            ]
+            out[j] = logsumexp(beta * np.sqrt(t) * h + sample.log_mean_exp(terms)) / N
         # the cascade-only endpoint term, from the same sample so its
         # truncation bias cancels in the t=1 decomposition
-        out[-1] = logsumexp(logv + beta * sqrt_n * y) / N
+        out[-1] = sample.log_mean_exp([beta * sqrt_n * yt for yt in y]) / N
         return out
 
     table = np.asarray(map_indexed(one, reps, threads))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, sample_cascade, sample_leaf_fields
+from .cascade import CascadeSpec, sample_cascade, sample_level_fields
 from .core import EvalResult, as_multipliers, psd_factor
 from .model import enumerate_configs
 from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
@@ -177,17 +177,25 @@ def eval_f2(path, beta):
     return 0.5 * beta**2 * (d_sq - path.hs_sq_integral())
 
 
-def config_field_sum(z, configs):
-    """Sum of per-site leaf fields along each configuration.
+def config_field_sum(fields, configs):
+    """Sum of one level's per-site node fields along each configuration.
 
-    z: (n_leaves, M, kappa); configs: (n_conf, M) 0-based labels.
-    Returns (n_leaves, n_conf).
+    fields: (M, kappa, n_nodes); configs: (n_conf, M) 0-based labels.
+    Returns (n_conf, n_nodes).
     """
-    n_leaves, m, _ = z.shape
-    acc = np.zeros((n_leaves, configs.shape[0]))
-    for i in range(m):
-        acc += z[:, i, :][:, configs[:, i]]
+    acc = fields[0][configs[:, 0]]
+    for i in range(1, configs.shape[1]):
+        acc += fields[i][configs[:, i]]
     return acc
+
+
+def _cascade_replicate(rng, spec, cov_inc, configs, lam_term, beta):
+    """One cascade draw's (1/M) log sum_alpha v_alpha sum_sigma exp(...): the
+    atoms and then every level's fields from rng, folded down the tree."""
+    sample = sample_cascade(spec, rng)
+    fields = sample_level_fields(sample, cov_inc, rng, n_copies=configs.shape[1])
+    per_conf = sample.log_mean_exp([beta * config_field_sum(g, configs) for g in fields])
+    return float(logsumexp(lam_term + per_conf) / configs.shape[1])
 
 
 def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, threads, diagnostics):
@@ -199,7 +207,6 @@ def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, thre
     """
     if reps < 2:
         raise ValidationError("need at least 2 replicates")
-    m = configs.shape[1]
     lam_full = np.append(as_multipliers(lam, path.kappa).lam, 0.0)
     lam_term = lam_full[configs].sum(axis=1)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
@@ -207,11 +214,7 @@ def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, thre
 
     def one(i):
         rng = stream(seed, tag, atoms_per_level, i)
-        sample = sample_cascade(spec, rng)
-        z = sample_leaf_fields(sample, cov_inc, rng, n_copies=m)
-        fields = config_field_sum(z, configs)
-        log_terms = sample.log_leaf_weights[:, None] + beta * fields + lam_term[None, :]
-        return float(logsumexp(log_terms) / m)
+        return _cascade_replicate(rng, spec, cov_inc, configs, lam_term, beta)
 
     values = np.asarray(map_indexed(one, reps, threads))
     diagnostics = {"reps": reps, "atoms_per_level": atoms_per_level, **diagnostics}

@@ -312,8 +312,10 @@ def mcmc_free_energy(
         raise ValidationError("sweeps must be at least 1")
     if burn < 0:
         raise ValidationError("burn must be nonnegative")
+    if n_beta < 2:
+        raise ValidationError("need at least 2 tempering rungs")
     counts = d.counts(N)
-    beta_grid = np.linspace(0.0, beta, max(n_beta, 2))
+    beta_grid = np.linspace(0.0, beta, n_beta)
     draws = [DisorderInstance(N, seed, draw=i) for i in range(n_disorder)]
     rngs = [stream(seed, 0x3C3C, N, i) for i in range(n_disorder)]
     run = _tempered_ladders(

@@ -30,3 +30,17 @@ def random_path(rng, d, r, x_low=0.1, x_high=0.9):
 
 def seeded(master, *key):
     return stream(master, *key)
+
+
+def rng_state(rng):
+    """A comparable copy of a Generator's bit-generator state (Philox keeps
+    its counter, key and buffer as arrays)."""
+
+    def freeze(value):
+        if isinstance(value, dict):
+            return tuple(sorted((key, freeze(v)) for key, v in value.items()))
+        if isinstance(value, np.ndarray):
+            return tuple(value.tolist())
+        return value
+
+    return freeze(rng.bit_generator.state)

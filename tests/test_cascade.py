@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import seeded
+from conftest import rng_state, seeded
 from pottsglass.cascade import (
     CascadeSample,
     CascadeSpec,
     OverlapArray,
     coincidence_masses,
     sample_cascade,
-    sample_leaf_fields,
+    sample_level_fields,
     sample_overlap_array,
     verify_y_identity,
 )
@@ -43,14 +43,16 @@ class TestSampleCascade:
         assert s.n_leaves == 25
         assert s.leaf_weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.min(s.leaf_weights) >= 0.0
-        assert s.level_weights[0].shape == (1, 5)
-        assert s.level_weights[1].shape == (5, 5)
-        assert np.min(s.level_weights[1]) > 0.0
+        assert s.log_atoms[0].shape == (1, 5)
+        assert s.log_atoms[1].shape == (5, 5)
+        # each level is shifted by its largest atom
+        assert [level.max() for level in s.log_atoms] == [0.0, 0.0]
+        assert np.all(np.isfinite(s.log_atoms[1]))
 
     def test_rows_sorted_descending(self):
         spec = CascadeSpec((0.4,), atoms_per_level=16)
         s = sample_cascade(spec, seeded(2, 0))
-        w = s.level_weights[0][0]
+        w = s.log_atoms[0][0]
         assert np.all(np.diff(w) <= 0.0)
 
     def test_seed_reproducibility(self):
@@ -58,6 +60,20 @@ class TestSampleCascade:
         a = sample_cascade(spec, seeded(7, 0))
         b = sample_cascade(spec, seeded(7, 0))
         np.testing.assert_array_equal(a.leaf_weights, b.leaf_weights)
+
+    def test_leaf_weights_are_the_atom_products(self):
+        spec = CascadeSpec((0.3, 0.6), atoms_per_level=4)
+        s = sample_cascade(spec, seeded(1, 1))
+        u = [np.exp(level) for level in s.log_atoms]
+        products = (u[0].reshape(-1, 1) * u[1]).reshape(-1)
+        np.testing.assert_allclose(s.leaf_weights, products / products.sum(), rtol=1e-13)
+
+    def test_log_mean_exp_of_zero_terms_is_zero(self):
+        spec = CascadeSpec((0.02, 0.3, 0.7), atoms_per_level=6)
+        s = sample_cascade(spec, seeded(1, 2))
+        assert s.log_mean_exp([None, None, None]) == pytest.approx(0.0, abs=1e-13)
+        constant = [np.full(6 ** (p + 1), c) for p, c in enumerate((0.5, -1.0, 2.0))]
+        assert s.log_mean_exp(constant) == pytest.approx(1.5, abs=1e-13)
 
 
 class TestLeafStructure:
@@ -107,38 +123,45 @@ class TestCoincidenceMasses:
             coincidence_masses(CascadeSpec((0.5,)), 1)
 
 
+def leaf_fields(fields, k):
+    """Per-leaf fields (n_copies, dim, K**r): each leaf sums its ancestors'."""
+    r = len(fields)
+    return sum(np.repeat(g, k ** (r - 1 - p), axis=-1) for p, g in enumerate(fields))
+
+
 class TestLeafFields:
     def test_covariance_matches_meet_increments(self):
         spec = CascadeSpec((0.3, 0.6), atoms_per_level=2)
         s = sample_cascade(spec, seeded(6, 0))
         c1 = np.array([[0.5, 0.2], [0.2, 0.4]])
         c2 = np.array([[0.3, -0.1], [-0.1, 0.6]])
-        z = sample_leaf_fields(s, [c1, c2], seeded(6, 1), n_copies=40_000)
+        z = leaf_fields(sample_level_fields(s, [c1, c2], seeded(6, 1), n_copies=40_000), 2)
         # leaves 0=(0,0), 1=(0,1): meet depth 1 -> covariance c1
-        cov01 = np.einsum("ck,cl->kl", z[0], z[1]) / z.shape[1]
+        cov01 = np.einsum("ck,cl->kl", z[:, :, 0], z[:, :, 1]) / z.shape[0]
         np.testing.assert_allclose(cov01, c1, atol=0.03)
         # leaves 0 and 3=(1,1): meet depth 0 -> zero covariance
-        cov03 = np.einsum("ck,cl->kl", z[0], z[3]) / z.shape[1]
+        cov03 = np.einsum("ck,cl->kl", z[:, :, 0], z[:, :, 3]) / z.shape[0]
         np.testing.assert_allclose(cov03, 0.0, atol=0.03)
         # self covariance is the full sum
-        cov00 = np.einsum("ck,cl->kl", z[0], z[0]) / z.shape[1]
+        cov00 = np.einsum("ck,cl->kl", z[:, :, 0], z[:, :, 0]) / z.shape[0]
         np.testing.assert_allclose(cov00, c1 + c2, atol=0.03)
 
     def test_default_is_one_copy(self):
         s = sample_cascade(CascadeSpec((0.3, 0.6), atoms_per_level=3), seeded(6, 4))
-        z = sample_leaf_fields(s, [np.eye(2), np.eye(2)], seeded(6, 5))
-        assert z.shape == (9, 1, 2)
+        fields = sample_level_fields(s, [np.eye(2), np.eye(2)], seeded(6, 5))
+        assert [g.shape for g in fields] == [(1, 2, 3), (1, 2, 9)]
 
     def test_wrong_increment_count_raises(self):
         s = sample_cascade(CascadeSpec((0.5,), atoms_per_level=2), seeded(6, 2))
         with pytest.raises(ValidationError):
-            sample_leaf_fields(s, [np.eye(2), np.eye(2)], seeded(6, 3))
+            sample_level_fields(s, [np.eye(2), np.eye(2)], seeded(6, 3))
 
     def test_scalar_fields_variance_structure(self):
         # a scalar field is the 1 x 1 case of the sampler
         spec = CascadeSpec((0.4,), atoms_per_level=3)
         s = sample_cascade(spec, seeded(7, 0))
-        draws = sample_leaf_fields(s, [[[0.8]]], seeded(7, 1), n_copies=20_000)[:, :, 0].T
+        (g,) = sample_level_fields(s, [[[0.8]]], seeded(7, 1), n_copies=20_000)
+        draws = g[:, 0, :]
         var = draws.var(axis=0)
         np.testing.assert_allclose(var, 0.8, atol=0.04)
         # distinct leaves at meet depth 0 are independent
@@ -150,13 +173,28 @@ class TestLeafFields:
         spec = CascadeSpec((0.3, 0.6), atoms_per_level=4)
         s = sample_cascade(spec, seeded(7, 2))
         var = np.array([0.3, 0.45])
-        y = sample_leaf_fields(s, var[:, None, None], seeded(7, 3))[:, 0, 0]
+        fields = sample_level_fields(s, var[:, None, None], seeded(7, 3))
         rng = seeded(7, 3)
-        expected = np.zeros(16)
-        for p in (1, 2):
-            g = np.sqrt(var[p - 1]) * rng.standard_normal(4**p)
-            expected += np.repeat(g, 4 ** (2 - p))
-        np.testing.assert_array_equal(y, expected)
+        for p, g in enumerate(fields):
+            np.testing.assert_array_equal(
+                g[0, 0], np.sqrt(var[p]) * rng.standard_normal(4 ** (p + 1))
+            )
+
+    def test_levels_draw_in_order_with_the_leaf_major_shape(self):
+        # level p is one standard normal array (K**(p+1), n_copies, dim),
+        # drawn after level p - 1, times the transposed factor
+        spec = CascadeSpec((0.3, 0.6), atoms_per_level=3)
+        s = sample_cascade(spec, seeded(7, 4))
+        c1 = np.array([[0.5, 0.2], [0.2, 0.4]])
+        c2 = np.array([[0.3, 0.0], [0.0, 0.6]])
+        rng = seeded(7, 5)
+        fields = sample_level_fields(s, [c1, c2], rng, n_copies=2)
+        expected_rng = seeded(7, 5)
+        for p, (cov, g) in enumerate(zip((c1, c2), fields)):
+            _, factor = core.psd_factor(cov)
+            z = expected_rng.standard_normal((3 ** (p + 1), 2, 2))
+            np.testing.assert_allclose(g, (z @ factor.T).transpose(1, 2, 0), rtol=1e-13, atol=1e-15)
+        assert rng_state(rng) == rng_state(expected_rng)
 
 
 class TestOverlapArray:

@@ -134,6 +134,22 @@ class TestOutputFormats:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cascade-verify", "--reps", "4", "--atoms", "20", "--mass-samples", "10"],
+            ["diag-gg", "--arrays", "10", "--atoms", "20"],
+            ["diag-sync", "--arrays", "10", "--atoms", "20"],
+        ],
+        ids=["cascade-verify", "diag-gg", "diag-sync"],
+    )
+    def test_cascade_bytes_do_not_depend_on_threads(self, argv, capsys):
+        reports = []
+        for threads in ("1", "2"):
+            assert main(argv + ["--threads", threads]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_json_sorted_keys(self, capsys):
         assert main(["eval-parisi", "--kappa", "2", "--beta", "0"]) == 0
         out = capsys.readouterr().out

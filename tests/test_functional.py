@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import random_distribution, random_path, seeded
-from pottsglass.cascade import CascadeSpec, sample_cascade, sample_leaf_fields
+from pottsglass.cascade import CascadeSpec, sample_cascade, sample_level_fields
 from pottsglass.core import EvalResult, MonotonePath, StateDistribution, psd_factor
 from pottsglass.functional import (
     MAX_NODES_PER_DIM,
@@ -152,9 +152,11 @@ class TestEvalPhi:
         for i in range(3):
             draws = stream(5, 0xF1, 30, i)
             sample = sample_cascade(spec, draws)
-            z = sample_leaf_fields(sample, p.increment_covariances(), draws)[:, 0, :]
+            fields = sample_level_fields(sample, p.increment_covariances(), draws)
+            # a leaf's field is the sum of its ancestors' node fields
+            z = sum(np.repeat(g[0], 30 ** (1 - q), axis=-1) for q, g in enumerate(fields)).T
             per_leaf = logsumexp(0.8 * z + lam, axis=1)
-            values.append(logsumexp(sample.log_leaf_weights + per_leaf))
+            values.append(logsumexp(np.log(sample.leaf_weights) + per_leaf))
         assert res.value == pytest.approx(np.mean(values), rel=1e-12)
         assert res.diagnostics["leaves"] == 900
 

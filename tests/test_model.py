@@ -249,6 +249,13 @@ class TestMcmc:
         with pytest.raises(ValidationError):
             mcmc_free_energy(6, 2, 0.5, d, n_disorder=2, sweeps=sweeps, burn=burn)
 
+    @pytest.mark.parametrize("n_beta", [0, 1])
+    def test_fewer_than_two_rungs_rejected(self, n_beta):
+        # a ladder needs its beta = 0 end and its target end
+        d = StateDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="2 tempering rungs"):
+            mcmc_free_energy(6, 2, 0.5, d, n_disorder=2, n_beta=n_beta, sweeps=5)
+
     def test_beta_zero_is_entropy(self):
         d = StateDistribution(np.array([0.5, 0.5]))
         res = mcmc_free_energy(6, 2, 0.0, d, n_disorder=2, sweeps=5, burn=2)
