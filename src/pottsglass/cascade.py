@@ -5,13 +5,10 @@ zeta t^{-1-zeta} dt, generated as u_j = Gamma_j^{-1/zeta} from exponential
 partial sums.  Leaf weights are products of the unnormalized atoms along
 root-to-leaf paths, normalized once across all leaves; normalizing per node
 instead would keep the log-moment recursion but break the joint overlap
-distribution, so the node totals must be carried through.  A leaf average
-of per-level terms factorizes down the tree, so it is folded bottom-up, each
-parent a log-sum-exp over its K children; only drawing leaves builds the
-K^r leaf weights.
+distribution, so the node totals must be carried through.  Leaf averages
+are folded bottom-up instead, so no K^r leaf array is built to average.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,40 +40,38 @@ class CascadeSpec:
 
 
 def _pd_weights(rng, zeta, shape_rows, k):
-    """Rows of log atom weights log u_j = -(1/zeta) log Gamma_j.
+    """Rows of log atom weights log u_j = -(1/zeta) log Gamma_j, shifted by
+    their largest entry.
 
     Gamma_j are partial sums of i.i.d. standard exponentials, so each row is
     the decreasing head of a Poisson process with intensity zeta t^{-1-zeta}.
     Logs keep small zeta usable: the atoms then span a huge dynamic range and
-    the cascade correctly degenerates toward a single atom as zeta -> 0.
+    the cascade correctly degenerates toward a single atom as zeta -> 0.  The
+    one shift per level cancels in every normalized average.
     """
     gamma = np.cumsum(rng.standard_exponential(size=(shape_rows, k)), axis=1)
-    return -np.log(gamma) / zeta
+    log_w = -np.log(gamma) / zeta
+    return log_w - log_w.max()
 
 
 def _fold(log_atoms, terms):
-    """Bottom-up log sums over the tree, depth r - 1 up to the root.
+    """Bottom-up log sums: entry q is (..., K**q), per depth-q node the log of
+    the sum over the leaves below it of the atoms and exp(terms) beneath it.
 
-    Entry q is an array (..., K**q): for each depth-q node, the log of the sum
-    over the leaves below it of the product of the atoms beneath the node
-    times exp of the terms beneath it.  terms[p] is None or an array
-    (..., K**(p+1)) over the depth p+1 nodes, children of one parent
-    contiguous; its leading axes broadcast.  Each parent is one log-sum-exp
-    over its K children on the last axis, shifted by its own largest child.
+    terms[p] is None or (..., K**(p+1)) over the depth p+1 nodes, siblings
+    contiguous.  Each parent is one log-sum-exp over its K children on the
+    last axis, shifted by its own largest child.
     """
     sums = [None] * len(log_atoms)
-    acc = None
     for p in range(len(log_atoms) - 1, -1, -1):
-        log_w = log_atoms[p]
-        t = log_w
-        if acc is not None:
-            t = acc.reshape(acc.shape[:-1] + log_w.shape) + t
+        log_w = t = log_atoms[p]
+        if p + 1 < len(sums):  # the children's own sums
+            t = sums[p + 1].reshape(sums[p + 1].shape[:-1] + log_w.shape) + t
         if terms[p] is not None:
             t = terms[p].reshape(terms[p].shape[:-1] + log_w.shape) + t
         top = t.max(axis=-1, keepdims=True)
         shifted = t - top
-        acc = np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + top[..., 0]
-        sums[p] = acc
+        sums[p] = np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + top[..., 0]
     return sums
 
 
@@ -85,8 +80,7 @@ class CascadeSample:
     """A sampled truncated cascade: the per-level log atoms.
 
     log_atoms[p] is the (K**p, K) array of log u over the children of the
-    depth-p nodes, shifted by the level's largest atom; the shifts cancel in
-    every normalized average.
+    depth-p nodes, shifted by the level's largest atom.
     """
 
     spec: CascadeSpec
@@ -104,17 +98,11 @@ class CascadeSample:
     def n_leaves(self):
         return self.k**self.r
 
-    @functools.cached_property
-    def _log_masses(self):
-        """Unnormalized log subtree masses, depth 0 (the log total) to r - 1."""
-        return _fold(self.log_atoms, [None] * self.r)
-
     def log_mean_exp(self, terms):
         """log sum_leaf v_leaf exp(sum_p terms[p] at the leaf's depth p+1 node)
-        for the normalized leaf weights v, one value per leading index of the
-        terms (see _fold for their layout).  No leaf array is built: each
-        parent folds its children, and the normalization folds the same way."""
-        return _fold(self.log_atoms, terms)[0][..., 0] - self._log_masses[0][0]
+        for the normalized leaf weights v, per leading index of the terms (laid
+        out as in _fold); the normalization is folded the same way."""
+        return _fold(self.log_atoms, terms)[0][..., 0] - _fold(self.log_atoms, [None] * self.r)[0][0]
 
     @property
     def leaf_weights(self):
@@ -138,17 +126,12 @@ class CascadeSample:
         """Pairwise ancestor depth alpha ^ alpha' for an index vector."""
         digits = self.leaf_digits(indices)
         same = digits[:, None, :] == digits[None, :, :]
-        prefix = np.cumprod(same, axis=2)
-        depth = prefix.sum(axis=2)
-        return depth
+        return np.cumprod(same, axis=2).sum(axis=2)
 
     def pair_coincidence_masses(self):
-        """sum over pairs with meet depth p of v_a v_a', for p = 0..r.
-
-        The squared subtree masses at depth q sum to a fold of the doubled
-        atoms above q with the doubled depth-q masses as the bottom term.
-        """
-        log_mass = self._log_masses + [None]  # the leaves' own is log 1
+        """sum over pairs with meet depth p of v_a v_a', for p = 0..r: the
+        squared subtree masses at depth q fold the doubled atoms above q."""
+        log_mass = _fold(self.log_atoms, [None] * self.r) + [None]  # a leaf's is log 1
         subtree_sq = [1.0]
         for q in range(1, self.r + 1):
             doubled = [2.0 * log_w for log_w in self.log_atoms[:q]]
@@ -162,32 +145,24 @@ class CascadeSample:
 def sample_cascade(spec, rng):
     """One truncated cascade drawn from the Generator rng: all levels' atoms."""
     k = spec.atoms_per_level
-    levels = []
-    for p in range(spec.r):
-        log_w = _pd_weights(rng, spec.x[p], k**p, k)
-        # one global shift per level cancels in the final normalization and
-        # keeps the atoms inside floating-point range
-        levels.append(log_w - log_w.max())
-    return CascadeSample(spec, tuple(levels))
+    return CascadeSample(spec, tuple(_pd_weights(rng, x, k**p, k) for p, x in enumerate(spec.x)))
 
 
 def sample_level_fields(sample, cov_increments, rng, n_copies=1):
-    """Independent Gaussian node fields, level by level.
+    """Independent Gaussian node fields, one standard normal draw
+    (K**(p+1), n_copies, dim) per level p in order.
 
     cov_increments[p] is the dim x dim covariance of the level-(p+1)
-    increment; a scalar field is the dim = 1 case.  Entry p is an array
-    (n_copies, dim, K**(p+1)) over the depth p+1 nodes, so a leaf's field,
-    the sum of its ancestors' entries, has covariance the sum of the
-    increments up to the meet of two leaves.  Each level draws one standard
-    normal array (K**(p+1), n_copies, dim), after the previous level's.
+    increment (dim = 1 for a scalar field).  Entry p is (n_copies, dim,
+    K**(p+1)) over the depth p+1 nodes: a leaf's field, the sum of its
+    ancestors', has covariance the sum of the increments down to a meet.
     """
-    k = sample.k
     if len(cov_increments) != sample.r:
         raise ValidationError("need one covariance increment per level")
     fields = []
     for p, cov in enumerate(cov_increments):
         _, factor = psd_factor(np.asarray(cov, dtype=float))
-        z = rng.standard_normal((k ** (p + 1), n_copies, factor.shape[0]))
+        z = rng.standard_normal((sample.k ** (p + 1), n_copies, factor.shape[0]))
         # one contiguous (dim, K**(p+1)) operand per copy keeps the child axis last
         fields.append(factor @ np.ascontiguousarray(z.transpose(1, 2, 0)))
     return tuple(fields)
@@ -263,16 +238,11 @@ def coincidence_masses(spec, n_samples, seed=0, threads=1):
     """
     if n_samples < 2:
         raise ValidationError("need at least 2 cascade samples")
-    per_sample = map_indexed(
+    masses = map_indexed(
         lambda i: sample_cascade(spec, stream(seed, 0xC01, i)).pair_coincidence_masses(),
         n_samples, threads,
     )
-    sums = np.zeros(spec.r + 1)
-    sq_sums = np.zeros(spec.r + 1)
-    for masses in per_sample:
-        sums += masses
-        sq_sums += masses**2
-    mean = sums / n_samples
-    var = (sq_sums / n_samples - mean**2) * n_samples / (n_samples - 1)
+    mean = sum(masses) / n_samples
+    var = (sum(m**2 for m in masses) / n_samples - mean**2) * n_samples / (n_samples - 1)
     se = np.sqrt(np.clip(var, 0.0, None) / n_samples)
     return mean, se

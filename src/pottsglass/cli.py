@@ -314,9 +314,7 @@ def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed, 
 )
 def _cmd_diag_gg(p):
     kappa, n, seed = p["kappa"], p["n"], p["seed"]
-    arrays = _default_cascade_arrays(
-        kappa, p["x"], p["arrays"], p["replicas"], p["atoms"], seed, p["threads"]
-    )
+    arrays = _default_cascade_arrays(kappa, p["x"], p["arrays"], p["replicas"], p["atoms"], seed, p["threads"])
     spec = PerturbationSpec(p=1, n=(1,), lambdas=np.ones((1, kappa)) / kappa)
     res_const = gg_residual(arrays, lambda a: 1.0, n, spec, seed=seed)
     res_poly = gg_residual(arrays, lambda a: float(a.traces[0, 1]), n, spec, seed=seed)
@@ -332,9 +330,7 @@ def _cmd_diag_gg(p):
     Param("bins", _count, 20, "trace bins of the fit"),
 )
 def _cmd_diag_sync(p):
-    arrays = _default_cascade_arrays(
-        p["kappa"], p["x"], p["arrays"], p["replicas"], p["atoms"], p["seed"], p["threads"]
-    )
+    arrays = _default_cascade_arrays(p["kappa"], p["x"], p["arrays"], p["replicas"], p["atoms"], p["seed"], p["threads"])
     fit = sync_fit(arrays, n_bins=p["bins"])
     return {
         "grid": [float(v) for v in fit.grid],

@@ -167,10 +167,7 @@ def interpolation_curve(
         zterms = [config_field_sum(level, configs - 1) for level in z]
         out = np.empty(t_grid.size + 1)
         for j, t in enumerate(t_grid):
-            terms = [
-                beta * (np.sqrt(1.0 - t) * zt + np.sqrt(t) * sqrt_n * yt)
-                for zt, yt in zip(zterms, y)
-            ]
+            terms = [beta * (np.sqrt(1.0 - t) * zt + np.sqrt(t) * sqrt_n * yt) for zt, yt in zip(zterms, y)]
             out[j] = logsumexp(beta * np.sqrt(t) * h + sample.log_mean_exp(terms)) / N
         # the cascade-only endpoint term, from the same sample so its
         # truncation bias cancels in the t=1 decomposition
