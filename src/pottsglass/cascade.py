@@ -5,8 +5,8 @@ zeta t^{-1-zeta} dt, generated as u_j = Gamma_j^{-1/zeta} from exponential
 partial sums.  Leaf weights are products of the unnormalized atoms along
 root-to-leaf paths, normalized once across all leaves; normalizing per node
 instead would keep the log-moment recursion but break the joint overlap
-distribution, so the node totals must be carried through.  Leaf averages
-are folded bottom-up instead, so no K^r leaf array is built to average.
+distribution, so the node totals must be carried through.  Averages over
+the leaves are folded up the tree from the atoms, with no K^r leaf array.
 """
 
 from dataclasses import dataclass
@@ -102,7 +102,8 @@ class CascadeSample:
         """log sum_leaf v_leaf exp(sum_p terms[p] at the leaf's depth p+1 node)
         for the normalized leaf weights v, per leading index of the terms (laid
         out as in _fold); the normalization is folded the same way."""
-        return _fold(self.log_atoms, terms)[0][..., 0] - _fold(self.log_atoms, [None] * self.r)[0][0]
+        log_norm = _fold(self.log_atoms, [None] * self.r)[0][0]
+        return _fold(self.log_atoms, terms)[0][..., 0] - log_norm
 
     @property
     def leaf_weights(self):
@@ -125,8 +126,11 @@ class CascadeSample:
     def common_depth(self, indices):
         """Pairwise ancestor depth alpha ^ alpha' for an index vector."""
         digits = self.leaf_digits(indices)
+        n = digits.shape[0]
         same = digits[:, None, :] == digits[None, :, :]
-        return np.cumprod(same, axis=2).sum(axis=2)
+        prefix = np.cumprod(same, axis=2)
+        depth = prefix.sum(axis=2)
+        return depth
 
     def pair_coincidence_masses(self):
         """sum over pairs with meet depth p of v_a v_a', for p = 0..r: the

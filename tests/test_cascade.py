@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rng_state, seeded
+from conftest import seeded
 from pottsglass.cascade import (
     CascadeSample,
     CascadeSpec,
@@ -67,13 +67,6 @@ class TestSampleCascade:
         u = [np.exp(level) for level in s.log_atoms]
         products = (u[0].reshape(-1, 1) * u[1]).reshape(-1)
         np.testing.assert_allclose(s.leaf_weights, products / products.sum(), rtol=1e-13)
-
-    def test_log_mean_exp_of_zero_terms_is_zero(self):
-        spec = CascadeSpec((0.02, 0.3, 0.7), atoms_per_level=6)
-        s = sample_cascade(spec, seeded(1, 2))
-        assert s.log_mean_exp([None, None, None]) == pytest.approx(0.0, abs=1e-13)
-        constant = [np.full(6 ** (p + 1), c) for p, c in enumerate((0.5, -1.0, 2.0))]
-        assert s.log_mean_exp(constant) == pytest.approx(1.5, abs=1e-13)
 
 
 class TestLeafStructure:
@@ -179,22 +172,6 @@ class TestLeafFields:
             np.testing.assert_array_equal(
                 g[0, 0], np.sqrt(var[p]) * rng.standard_normal(4 ** (p + 1))
             )
-
-    def test_levels_draw_in_order_with_the_leaf_major_shape(self):
-        # level p is one standard normal array (K**(p+1), n_copies, dim),
-        # drawn after level p - 1, times the transposed factor
-        spec = CascadeSpec((0.3, 0.6), atoms_per_level=3)
-        s = sample_cascade(spec, seeded(7, 4))
-        c1 = np.array([[0.5, 0.2], [0.2, 0.4]])
-        c2 = np.array([[0.3, 0.0], [0.0, 0.6]])
-        rng = seeded(7, 5)
-        fields = sample_level_fields(s, [c1, c2], rng, n_copies=2)
-        expected_rng = seeded(7, 5)
-        for p, (cov, g) in enumerate(zip((c1, c2), fields)):
-            _, factor = core.psd_factor(cov)
-            z = expected_rng.standard_normal((3 ** (p + 1), 2, 2))
-            np.testing.assert_allclose(g, (z @ factor.T).transpose(1, 2, 0), rtol=1e-13, atol=1e-15)
-        assert rng_state(rng) == rng_state(expected_rng)
 
 
 class TestOverlapArray:
