@@ -27,10 +27,66 @@ def freeze(a):
 
 
 def psd_factor(cov):
-    """Eigenvalues of the symmetric part of a square array and the factor
-    u sqrt(max(lambda, 0)), whose outer product is its PSD projection."""
-    lam, u = np.linalg.eigh(0.5 * (cov + cov.T))
-    return lam, u * np.sqrt(np.clip(lam, 0.0, None))
+    """Eigenvalues of the symmetric part of a square array, or of each in a
+    stack, and the factor u sqrt(max(lambda, 0)), whose outer product is its
+    PSD projection.  The eigenvalues ascend, so the columns of the positive
+    ones come last."""
+    lam, u = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
+    return lam, u * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
+
+
+def diag_rows(d):
+    """diag(d) for a distribution vector, or for each row of a stack."""
+    kappa = d.shape[-1]
+    out = np.zeros(d.shape + (kappa,))
+    out[..., np.arange(kappa), np.arange(kappa)] = d
+    return out
+
+
+def path_arrays(d, inner_x, increments):
+    """xs and gammas of paths built from level x's and the first r-1
+    increments, over any leading axes: d (..., kappa), inner_x (..., r) and
+    increments (..., r-1, kappa, kappa).  Each gamma_p is gamma_{p-1} plus
+    its increment, from gamma_0 = 0, and gamma_r = diag(d) exactly."""
+    r = inner_x.shape[-1]
+    kappa = d.shape[-1]
+    gammas = np.zeros(inner_x.shape[:-1] + (r + 1, kappa, kappa))
+    for p in range(1, r):
+        gammas[..., p, :, :] = gammas[..., p - 1, :, :] + increments[..., p - 1, :, :]
+    gammas[..., r, :, :] = diag_rows(d)
+    ends = np.ones(inner_x.shape[:-1] + (1,))
+    xs = np.concatenate([0.0 * ends, inner_x, ends], axis=-1)
+    return xs, gammas
+
+
+def check_paths(d, xs, gammas):
+    """MonotonePath's checks on one path or on a stack of them: d (..., kappa),
+    xs (..., r+2) and gammas (..., r+1, kappa, kappa) with the same leading
+    axes.  Raises ValidationError for the first check that some path fails;
+    an increment fails on its first defect in path order."""
+    kappa = d.shape[-1]
+    xs = xs.reshape(-1, xs.shape[-1])
+    gammas = gammas.reshape((-1,) + gammas.shape[-3:])
+    if np.any((xs[:, 0] != 0.0) | (xs[:, -1] != 1.0)):
+        raise ValidationError("xs endpoints must be exactly 0 and 1")
+    if np.any(np.diff(xs, axis=1) < 0):
+        raise ValidationError("xs must be nondecreasing")
+    if np.any(np.max(np.abs(gammas[:, 0]), axis=(1, 2)) > ENTRY_TOL):
+        raise ValidationError("gamma_0 must be the zero matrix")
+    if not np.all(gammas[:, -1] == diag_rows(d.reshape(-1, kappa))):
+        raise ValidationError("gamma_r must equal diag(d) exactly")
+    inc = np.diff(gammas, axis=1)
+    inc_t = np.swapaxes(inc, -1, -2)
+    asym = np.max(np.abs(inc - inc_t), axis=(2, 3)) > SYM_TOL
+    lam_min = np.linalg.eigvalsh(0.5 * (inc + inc_t))[..., 0]
+    bad = asym | (lam_min < -PSD_TOL)
+    if bad.any():
+        row, p = np.argwhere(bad)[0]
+        if asym[row, p]:
+            raise ValidationError(f"increment {p + 1} is not symmetric")
+        raise ValidationError(
+            f"increment {p + 1} is not PSD (lambda_min = {lam_min[row, p]:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -144,21 +200,7 @@ class MonotonePath:
         r = xs.size - 2
         if gammas.shape != (r + 1, kappa, kappa):
             raise ValidationError(f"gammas must have shape {(r + 1, kappa, kappa)}")
-        if xs[0] != 0.0 or xs[-1] != 1.0:
-            raise ValidationError("xs endpoints must be exactly 0 and 1")
-        if np.any(np.diff(xs) < 0):
-            raise ValidationError("xs must be nondecreasing")
-        if np.max(np.abs(gammas[0])) > ENTRY_TOL:
-            raise ValidationError("gamma_0 must be the zero matrix")
-        if not np.array_equal(gammas[-1], np.diag(self.d.d)):
-            raise ValidationError("gamma_r must equal diag(d) exactly")
-        for p in range(1, r + 1):
-            inc = gammas[p] - gammas[p - 1]
-            if np.max(np.abs(inc - inc.T)) > SYM_TOL:
-                raise ValidationError(f"increment {p} is not symmetric")
-            lam_min = float(np.linalg.eigvalsh(0.5 * (inc + inc.T))[0])
-            if lam_min < -PSD_TOL:
-                raise ValidationError(f"increment {p} is not PSD (lambda_min = {lam_min:.3e})")
+        check_paths(self.d.d, xs, gammas)
         object.__setattr__(self, "xs", freeze(xs))
         object.__setattr__(self, "gammas", freeze(gammas))
 
@@ -184,22 +226,20 @@ class MonotonePath:
 
     def hs_sq_integral(self):
         """Exact integral of the squared Hilbert-Schmidt norm over [0, 1]."""
-        widths = np.diff(self.xs)
-        hs = np.sum(self.gammas**2, axis=(1, 2))
-        return float(np.sum(widths * hs))
+        return float(hs_sq_integral(self.xs, self.gammas))
 
     def increment_covariances(self):
         """(r, kappa, kappa): covariance 2 (gamma_p - gamma_{p-1}) of the
         level-p Gaussian vector, p = 1..r."""
-        return 2.0 * np.diff(self.gammas, axis=0)
+        return increment_covariances(self.gammas)
 
     def hs_increments(self):
         """|gamma_p|_HS^2 - |gamma_{p-1}|_HS^2 for p = 1..r."""
-        return np.diff(np.sum(self.gammas**2, axis=(1, 2)))
+        return hs_increments(self.gammas)
 
     def hs_telescoped(self):
         """sum_p x_p (|gamma_{p+1}|_HS^2 - |gamma_p|_HS^2) over the levels."""
-        return float(np.sum(self.inner_x * self.hs_increments()))
+        return float(hs_telescoped(self.xs, self.gammas))
 
     @classmethod
     def from_increments(cls, d, inner_x, increments):
@@ -212,13 +252,8 @@ class MonotonePath:
         increments = list(increments)
         if len(increments) != r - 1:
             raise ValidationError(f"expected {r - 1} free increments, got {len(increments)}")
-        kappa = d.kappa
-        gammas = np.zeros((r + 1, kappa, kappa))
-        for p, inc in enumerate(increments, start=1):
-            gammas[p] = gammas[p - 1] + inc
-        gammas[r] = np.diag(d.d)
-        xs = np.concatenate([[0.0], inner_x, [1.0]])
-        return cls(d, xs, gammas)
+        increments = np.asarray(increments, dtype=float).reshape(r - 1, d.kappa, d.kappa)
+        return cls(d, *path_arrays(d.d, inner_x, increments))
 
     @classmethod
     def one_step(cls, d, x0):
@@ -240,6 +275,35 @@ class MonotonePath:
             np.asarray(obj["x"], dtype=float),
             np.asarray(obj["gammas"], dtype=float),
         )
+
+
+# The path formulas below act on one path or on a stack of them: xs
+# (..., r+2) and gammas (..., r+1, kappa, kappa) with the same leading axes.
+
+
+def hs_norms(gammas):
+    """|gamma_p|_HS^2 for p = 0..r."""
+    return np.sum(gammas**2, axis=(-2, -1))
+
+
+def hs_sq_integral(xs, gammas):
+    """Exact integral of the squared Hilbert-Schmidt norm over [0, 1]."""
+    return np.sum(np.diff(xs, axis=-1) * hs_norms(gammas), axis=-1)
+
+
+def increment_covariances(gammas):
+    """Covariance 2 (gamma_p - gamma_{p-1}) of the level-p Gaussian vector."""
+    return 2.0 * np.diff(gammas, axis=-3)
+
+
+def hs_increments(gammas):
+    """|gamma_p|_HS^2 - |gamma_{p-1}|_HS^2 for p = 1..r."""
+    return np.diff(hs_norms(gammas), axis=-1)
+
+
+def hs_telescoped(xs, gammas):
+    """sum_p x_p (|gamma_{p+1}|_HS^2 - |gamma_p|_HS^2) over the levels."""
+    return np.sum(xs[..., 1:-1] * hs_increments(gammas), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,19 @@ configurations, and both run through one replicate kernel.
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import CascadeSpec, sample_cascade, sample_level_fields
-from .core import EvalResult, as_multipliers, psd_factor
+from .core import (
+    EvalResult,
+    as_multipliers,
+    hs_sq_integral,
+    hs_telescoped,
+    increment_covariances,
+    psd_factor,
+)
 from .model import enumerate_configs
 from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
 
@@ -59,77 +65,113 @@ def _gh_grid(nodes_per_dim, rank):
     return grid, logw
 
 
-def _kept_factor(cov):
-    """The columns of cov's PSD factor in directions above RANK_TOL; their
-    number is the rank of the level's quadrature grid."""
-    lam, factor = psd_factor(np.asarray(cov, dtype=float))
-    return factor[:, lam > RANK_TOL]
-
-
 def _gh_nodes(factor, nodes_per_dim):
-    """Quadrature nodes/log-weights for the centered Gaussian factor @ Z."""
-    kappa, rank = factor.shape
+    """Quadrature nodes/log-weights for the centered Gaussian factor @ Z, for
+    one (kappa, rank) factor or a stack of factors of one rank."""
+    kappa, rank = factor.shape[-2:]
     if rank == 0:
-        return np.zeros((1, kappa)), np.zeros(1)
+        return np.zeros(factor.shape[:-2] + (1, kappa)), np.zeros(1)
     grid, logw = _gh_grid(nodes_per_dim, rank)
-    return grid @ factor.T, logw
+    return grid @ np.swapaxes(factor, -1, -2), logw
 
 
-def _level_value(inner, logw, x_p):
-    """(1/x_p) log of the weighted mean of exp(x_p * inner) over each row.
+def _level_value(inner, logw, x):
+    """(1/x_b) log of the weighted mean of exp(x_b * inner[b]) over each row,
+    for inner (B, m, n) and one level x_b per path b.
 
-    x_p = 0 takes the plain mean c.  Rows with x_p |inner - c| < 1 use
-    c + log1p(mean of expm1(x_p (inner - c))) / x_p, whose rounding error
-    does not grow as x_p -> 0; the other rows are max-shifted.
+    x_b = 0 takes the plain mean c.  Rows with x_b |inner - c| < 1 use
+    c + log1p(mean of expm1(x_b (inner - c))) / x_b, whose rounding error
+    does not grow as x_b -> 0; the other rows are max-shifted.  The weighted
+    sum of the expm1 terms is one matrix-vector product per path: a BLAS
+    product over more rows may round a row differently, and a path's value
+    must not depend on the batch it is evaluated in.
     """
     w = np.exp(logw)
-    mean = np.sum(w[None, :] * inner, axis=1)
-    if x_p == 0.0:
-        return mean
-    dev = x_p * (inner - mean[:, None])
-    near = np.max(np.abs(dev), axis=1) < 1.0
-    out = np.empty_like(mean)
-    out[near] = mean[near] + np.log1p(np.expm1(dev[near]) @ w) / x_p
-    if not near.all():
-        out[~near] = logsumexp(logw[None, :] + x_p * inner[~near], axis=1) / x_p
+    mean = np.sum(w * inner, axis=-1)
+    out = mean.copy()
+    live = x != 0.0
+    if not live.any():
+        return out
+    x_rows = np.broadcast_to(x[:, None], mean.shape)
+    dev = x[:, None, None] * (inner - mean[..., None])
+    near = (np.max(np.abs(dev), axis=-1) < 1.0) & live[:, None]
+    far = ~near & live[:, None]
+    if near.any():
+        terms = np.expm1(dev[near])
+        ends = np.cumsum(near.sum(axis=1))
+        sums = np.concatenate(
+            [terms[a:b] @ w for a, b in zip(np.concatenate([[0], ends[:-1]]), ends) if b > a]
+        )
+        out[near] = mean[near] + np.log1p(sums) / x_rows[near]
+    if far.any():
+        x_far = x_rows[far]
+        out[far] = logsumexp(logw[None, :] + x_far[:, None] * inner[far], axis=1) / x_far
     return out
 
 
-def eval_phi(lam, path, beta, quad=None):
-    """The recursion value X_0 by exact backward recursion with quadrature.
+def _phi_rows(lam_full, x_levels, covs, beta, quad):
+    """X_0 of B paths by exact backward recursion with quadrature.
 
-    Each level is _level_value's log-mean-exp.  The node count is checked
-    against the budget before any grid is built.
+    lam_full (B, kappa), x_levels (B, r) and covs (B, r, kappa, kappa).  Each
+    level is _level_value's log-mean-exp.  Paths whose levels have the same
+    ranks share grid shapes and recurse together.  Every path's node count is
+    checked against the budget before any grid is built.  Returns the values
+    and the node counts.
     """
+    n = quad.nodes_per_dim
+    kappa = lam_full.shape[1]
+    eig, factor = psd_factor(covs)
+    ranks = [tuple(row) for row in np.sum(eig > RANK_TOL, axis=-1).tolist()]
+    totals = [n ** sum(row) for row in ranks]
+    for total in totals:
+        if total > quad.budget:
+            raise BudgetError(
+                f"recursion requires {total} node evaluations, budget is {quad.budget}"
+            )
+    groups = {}
+    for b, row in enumerate(ranks):
+        groups.setdefault(row, []).append(b)
+    phi = np.empty(len(ranks))
+    for signature, rows in groups.items():
+        # eigh's eigenvalues ascend, so the kept columns are the last ones
+        levels = [
+            _gh_nodes(np.ascontiguousarray(factor[rows, p, :, kappa - k :]), n)
+            for p, k in enumerate(signature)
+        ]
+        phi[rows] = _recurse(levels, x_levels[rows], lam_full[rows], beta)
+    return phi, totals
+
+
+def _recurse(levels, x_levels, lam_full, beta):
+    """The recursion over a group of paths with the same grid shapes."""
+    g, kappa = lam_full.shape
+
+    def recurse(p, s):
+        if p == len(levels):
+            return logsumexp(beta * s + lam_full[:, None, :], axis=2)
+        nodes, logw = levels[p]
+        m = s.shape[1]
+        n_p = nodes.shape[1]
+        expanded = (s[:, :, None, :] + nodes[:, None, :, :]).reshape(g, m * n_p, kappa)
+        inner = recurse(p + 1, expanded).reshape(g, m, n_p)
+        return _level_value(inner, logw, x_levels[:, p])
+
+    return recurse(0, np.zeros((g, 1, kappa)))[:, 0]
+
+
+def eval_phi(lam, path, beta, quad=None):
+    """The recursion value X_0 by exact backward recursion with quadrature:
+    the one-path case of _phi_rows."""
     quad = quad or QuadratureSpec()
     if beta < 0:
         raise ValidationError("beta must be nonnegative")
-    kappa = path.kappa
-    lam = as_multipliers(lam, kappa)
-    lam_full = np.append(lam.lam, 0.0)
-    r = path.r
-    factors = [_kept_factor(cov) for cov in path.increment_covariances()]
-    total_nodes = math.prod(quad.nodes_per_dim ** f.shape[1] for f in factors)
-    if total_nodes > quad.budget:
-        raise BudgetError(
-            f"recursion requires {total_nodes} node evaluations, budget is {quad.budget}"
-        )
-    levels = [_gh_nodes(factor, quad.nodes_per_dim) for factor in factors]
-    x_levels = path.inner_x  # x_0 .. x_{r-1}
-
-    def recurse(p, s):
-        if p == r:
-            return logsumexp(beta * s + lam_full, axis=1)
-        nodes, logw = levels[p]
-        m = s.shape[0]
-        n_p = nodes.shape[0]
-        expanded = (s[:, None, :] + nodes[None, :, :]).reshape(m * n_p, kappa)
-        inner = recurse(p + 1, expanded).reshape(m, n_p)
-        return _level_value(inner, logw, float(x_levels[p]))
-
-    value = float(recurse(0, np.zeros((1, kappa)))[0])
+    lam = as_multipliers(lam, path.kappa)
+    phi, totals = _phi_rows(
+        np.append(lam.lam, 0.0)[None], path.inner_x[None], path.increment_covariances()[None],
+        beta, quad,
+    )
     return EvalResult(
-        value, 0.0, "quadrature", {"node_evaluations": total_nodes, "levels": r}
+        float(phi[0]), 0.0, "quadrature", {"node_evaluations": totals[0], "levels": path.r}
     )
 
 
@@ -144,26 +186,52 @@ def eval_phi_cascade_mc(lam, path, beta, reps=200, atoms_per_level=200, seed=0, 
 
 
 def eval_parisi(lam, d, path, beta, quad=None):
-    """The variational objective: Phi minus the Lagrange and HS corrections.
-
-    The telescoped HS correction must agree with its integral form eval_f2.
-    """
+    """The variational objective: Phi minus the Lagrange and HS corrections;
+    the one-path case of eval_parisi_rows."""
     if d.kappa != path.kappa:
         raise ValidationError(f"distribution has {d.kappa} states but the path has {path.kappa}")
-    if np.max(np.abs(np.asarray(d.d) - path.d.d)) > 1e-10:
-        raise ValidationError("distribution does not match the path endpoint")
     lam = as_multipliers(lam, d.kappa)
-    phi = eval_phi(lam, path, beta, quad)
-    lagrange = float(np.dot(lam.lam, d.d[: d.kappa - 1]))
-    value = phi.value - lagrange - 0.5 * beta**2 * path.hs_telescoped()
-    rearranged = phi.value - lagrange - eval_f2(path, beta)
-    if abs(value - rearranged) > FORM_AGREEMENT_TOL:
-        raise ValidationError(
-            f"correction forms disagree by {abs(value - rearranged):.3e}"
-        )
-    diagnostics = dict(phi.diagnostics)
-    diagnostics.update({"phi": phi.value, "rearranged_value": rearranged})
-    return EvalResult(value, 0.0, "quadrature", diagnostics)
+    value, phi, rearranged, totals = eval_parisi_rows(
+        lam.lam[None], d.d[None], path.xs[None], path.gammas[None], beta, quad
+    )
+    diagnostics = {
+        "node_evaluations": totals[0], "levels": path.r,
+        "phi": float(phi[0]), "rearranged_value": float(rearranged[0]),
+    }
+    return EvalResult(float(value[0]), 0.0, "quadrature", diagnostics)
+
+
+def eval_parisi_rows(lam, d, xs, gammas, beta, quad=None):
+    """The variational objective of B validated paths at once: lam (B, kappa-1),
+    d (B, kappa), xs (B, r+2) and gammas (B, r+1, kappa, kappa).
+
+    Each path's distribution must match its endpoint, and its telescoped HS
+    correction must agree with the integral form eval_f2.  A path's value does
+    not depend on the other rows.  Returns the values, Phi, the rearranged
+    values and the node counts.
+    """
+    quad = quad or QuadratureSpec()
+    if beta < 0:
+        raise ValidationError("beta must be nonnegative")
+    kappa = d.shape[1]
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError("multipliers must be finite")
+    if np.any(np.max(np.abs(d - np.diagonal(gammas[:, -1], axis1=1, axis2=2)), axis=1) > 1e-10):
+        raise ValidationError("distribution does not match the path endpoint")
+    lam_full = np.concatenate([lam, np.zeros((lam.shape[0], 1))], axis=1)
+    phi, totals = _phi_rows(lam_full, xs[:, 1:-1], increment_covariances(gammas), beta, quad)
+    # np.dot per path: a BLAS dot's rounding may depend on the operand layout
+    lagrange = np.array([np.dot(lam[b], d[b, : kappa - 1]) for b in range(len(phi))])
+    value = phi - lagrange - 0.5 * beta**2 * hs_telescoped(xs, gammas)
+    rearranged = phi - lagrange - _f2_rows(d, xs, gammas, beta)
+    gap = np.abs(value - rearranged)
+    if np.any(gap > FORM_AGREEMENT_TOL):
+        raise ValidationError(f"correction forms disagree by {np.max(gap):.3e}")
+    return value, phi, rearranged, totals
+
+
+def _f2_rows(d, xs, gammas, beta):
+    return 0.5 * beta**2 * (np.sum(d**2, axis=-1) - hs_sq_integral(xs, gammas))
 
 
 def eval_f2(path, beta):
@@ -173,8 +241,7 @@ def eval_f2(path, beta):
     quantity verify_y_identity checks by Monte Carlo; equivalently
     (beta^2/2) (sum_k d_k^2 - integral of |pi|_HS^2).
     """
-    d_sq = float(np.sum(path.d.d**2))
-    return 0.5 * beta**2 * (d_sq - path.hs_sq_integral())
+    return float(_f2_rows(path.d.d, path.xs, path.gammas, beta))
 
 
 def config_field_sum(fields, configs):

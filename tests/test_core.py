@@ -8,6 +8,7 @@ from pottsglass.core import (
     MonotonePath,
     StateDistribution,
     as_multipliers,
+    check_paths,
     path_delta,
     psd_factor,
     round_distribution,
@@ -66,6 +67,28 @@ class TestMultipliers:
     def test_wrong_size_raises(self):
         with pytest.raises(ValidationError):
             as_multipliers([0.1, 0.2], 2)
+
+
+class TestCheckPaths:
+    def test_names_the_first_defect_in_a_stack(self):
+        rng = seeded(31)
+        d = StateDistribution(np.array([0.5, 0.3, 0.2]))
+        paths = [random_path(rng, d, 2) for _ in range(3)]
+        ds = np.array([d.d] * 3)
+        xs = np.array([p.xs for p in paths])
+        gammas = np.array([p.gammas for p in paths])
+        check_paths(ds, xs, gammas)
+        bad = gammas.copy()
+        bad[1, 1] = 2.0 * np.diag(d.d)  # increment 2 is then diag(d) minus this
+        with pytest.raises(ValidationError, match="increment 2 is not PSD"):
+            check_paths(ds, xs, bad)
+        bad[1, 1, 0, 1] += 1e-6
+        with pytest.raises(ValidationError, match="increment 1 is not symmetric"):
+            check_paths(ds, xs, bad)
+        late = xs.copy()
+        late[2, -1] = 0.9
+        with pytest.raises(ValidationError, match="endpoints"):
+            check_paths(ds, late, gammas)
 
 
 class TestMonotonePath:

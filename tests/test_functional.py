@@ -13,11 +13,11 @@ from pottsglass.functional import (
     QuadratureSpec,
     _gh_grid,
     _gh_nodes,
-    _kept_factor,
     eval_f1_restricted,
     eval_f2,
     eval_lower_bound,
     eval_parisi,
+    eval_parisi_rows,
     eval_phi,
     eval_phi_cascade_mc,
 )
@@ -167,6 +167,12 @@ class TestEvalPhi:
         assert res.std_error <= 1e-12
 
 
+def kept_factor(cov):
+    """The columns of cov's PSD factor in directions above RANK_TOL."""
+    lam, factor = psd_factor(cov)
+    return factor[:, lam > RANK_TOL]
+
+
 def per_call_nodes(cov, nodes_per_dim):
     """The quadrature nodes as every call built them before the grid cache."""
     lam, factor = psd_factor(cov)
@@ -201,7 +207,7 @@ class TestGaussHermiteGrid:
 
     def test_cached_arrays_are_read_only(self):
         cov = np.diag([0.6, 0.4])
-        for arr in _gh_grid(9, 2) + _gh_nodes(_kept_factor(cov), 9)[1:]:
+        for arr in _gh_grid(9, 2) + _gh_nodes(kept_factor(cov), 9)[1:]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -212,7 +218,7 @@ class TestGaussHermiteGrid:
         for nodes in (5, 9):
             g = rng.standard_normal((kappa, rank))
             cov = g @ g.T
-            nodes_now, logw_now = _gh_nodes(_kept_factor(cov), nodes)
+            nodes_now, logw_now = _gh_nodes(kept_factor(cov), nodes)
             nodes_then, logw_then = per_call_nodes(cov, nodes)
             assert nodes_now.shape == (nodes**rank, kappa)
             assert nodes_now.tobytes() == nodes_then.tobytes()
@@ -271,6 +277,77 @@ class TestEvalParisi:
         assert eval_parisi([], d, p, 1.5, quad).value == pytest.approx(
             0.6 * 1.5**2 / 2.0, abs=1e-8
         )
+
+
+def reference_phi(lam, path, beta, nodes_per_dim=9):
+    """The one-path recursion written level by level, as eval_phi ran before
+    it gained a batch axis: the kept directions by a mask on the eigenvalues,
+    each level's nodes from per_call_nodes."""
+    lam_full = np.append(lam, 0.0)
+    levels = [per_call_nodes(cov, nodes_per_dim) for cov in path.increment_covariances()]
+
+    def level_value(inner, logw, x_p):
+        w = np.exp(logw)
+        mean = np.sum(w[None, :] * inner, axis=1)
+        if x_p == 0.0:
+            return mean
+        dev = x_p * (inner - mean[:, None])
+        near = np.max(np.abs(dev), axis=1) < 1.0
+        out = np.empty_like(mean)
+        out[near] = mean[near] + np.log1p(np.expm1(dev[near]) @ w) / x_p
+        if not near.all():
+            out[~near] = logsumexp(logw[None, :] + x_p * inner[~near], axis=1) / x_p
+        return out
+
+    def recurse(p, s):
+        if p == path.r:
+            return logsumexp(beta * s + lam_full, axis=1)
+        nodes, logw = levels[p]
+        expanded = (s[:, None, :] + nodes[None, :, :]).reshape(-1, path.kappa)
+        inner = recurse(p + 1, expanded).reshape(s.shape[0], nodes.shape[0])
+        return level_value(inner, logw, float(path.inner_x[p]))
+
+    return float(recurse(0, np.zeros((1, path.kappa)))[0])
+
+
+def mixed_paths(rng, kappa, r):
+    """Paths at two random d and at d = (1, 0, ...), with full-rank,
+    rank-deficient and zero levels; most rank patterns occur twice."""
+    corner = StateDistribution(np.eye(kappa)[0])
+    out = [random_path(rng, random_distribution(rng, kappa), r) for _ in range(2)]
+    for d in (out[0].d, out[1].d, corner):
+        x = np.sort(rng.uniform(0.1, 0.9, size=r))
+        for scale in (0.0, 0.5):
+            inc = scale * np.diag(corner.d) * d.d[0]  # rank 1 and under diag(d)
+            out.append(MonotonePath.from_increments(d, x, [inc / max(r - 1, 1)] * (r - 1)))
+    return out
+
+
+class TestEvalParisiRows:
+    @pytest.mark.parametrize("kappa,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_rows_equal_single_calls_and_reference(self, kappa, r):
+        rng = seeded(27, kappa, r)
+        paths = mixed_paths(rng, kappa, r)
+        lam = rng.uniform(-1.0, 1.0, size=(len(paths), kappa - 1))
+        quad = QuadratureSpec(nodes_per_dim=5)
+        rows = [np.array([p.d.d for p in paths]), np.array([p.xs for p in paths]),
+                np.array([p.gammas for p in paths])]
+        # at beta = 0.2 most levels take the expm1 form, at 1.5 the max-shifted one
+        for beta in (0.2, 1.5):
+            value, phi, rearranged, totals = eval_parisi_rows(lam, *rows, beta, quad)
+            for b, path in enumerate(paths):
+                alone = eval_parisi(lam[b], path.d, path, beta, quad)
+                assert value[b] == alone.value and phi[b] == alone.diagnostics["phi"]
+                assert rearranged[b] == alone.diagnostics["rearranged_value"]
+                assert totals[b] == alone.diagnostics["node_evaluations"]
+                assert phi[b] == reference_phi(lam[b], path, beta, 5)
+
+    def test_endpoint_mismatch_raises(self):
+        d = StateDistribution(np.array([0.5, 0.5]))
+        path = MonotonePath.one_step(d, 0.5)
+        rows = [np.array([[0.5, 0.5], [0.6, 0.4]]), np.array([path.xs] * 2), np.array([path.gammas] * 2)]
+        with pytest.raises(ValidationError, match="endpoint"):
+            eval_parisi_rows(np.zeros((2, 1)), *rows, 1.0)
 
 
 class TestEvalF2:

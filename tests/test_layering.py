@@ -1,10 +1,13 @@
 """Static layering rules of the package, read from the source with ast:
 no module imports another module's private names, the intra-package
 import graph has no cycle, the sampling layers sit on core and util, the
-one log-sum-exp is util's, and every public function and class has a
-caller that is not a unit test."""
+one log-sum-exp is util's, no module imports scipy, and every public
+function and class has a caller that is not a unit test."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,27 @@ def test_logsumexp_is_util_only(module):
         and ast.unparse(node.value) != "util"
     ]
     assert from_scipy == [] and attributes == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_scipy_import(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = [
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "level", 0) == 0
+        for alias in node.names
+    ]
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, pottsglass; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def references(path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -126,14 +128,17 @@ class TestInnerMinimize:
 
 
 def stub_inner(evaluated, value_of):
-    """An inner_minimize that records each d and returns value_of(d)."""
+    """A minimize_types that records each d and returns value_of(d)."""
 
-    def inner(d, r, beta, config=None, seed=0):
-        evaluated.append(tuple(d.d))
-        return OptimizerReport(
-            value_of(d), np.zeros(d.kappa - 1), MonotonePath.one_step(d, 0.5), d, beta, r, 0,
-            (), np.zeros(1),
-        )
+    def inner(types, r, beta, config=None, seed=0):
+        reports = []
+        for d in types:
+            evaluated.append(tuple(d.d))
+            reports.append(OptimizerReport(
+                value_of(d), np.zeros(d.kappa - 1), MonotonePath.one_step(d, 0.5), d, beta, r, 0,
+                (), np.zeros(1),
+            ))
+        return reports
 
     return inner
 
@@ -147,7 +152,7 @@ class TestOuterMaximize:
     @pytest.mark.parametrize("kappa,mesh,count", [(2, 10, 6), (3, 7, 8), (3, 4, 4)])
     def test_evaluates_each_sorted_type_once(self, kappa, mesh, count, monkeypatch):
         evaluated = []
-        monkeypatch.setattr(optimize, "inner_minimize", stub_inner(evaluated, entropy))
+        monkeypatch.setattr(optimize, "minimize_types", stub_inner(evaluated, entropy))
         report = outer_maximize(kappa, 1.0, 1, {"grid_mesh": mesh}, seed=0)
         assert len(evaluated) == count
         sorted_types = {tuple(sorted(d.d, reverse=True)) for d in simplex_grid(kappa, mesh)}
@@ -160,7 +165,7 @@ class TestOuterMaximize:
 
     def test_ties_go_to_the_first_type(self, monkeypatch):
         evaluated = []
-        monkeypatch.setattr(optimize, "inner_minimize", stub_inner(evaluated, lambda d: 1.0))
+        monkeypatch.setattr(optimize, "minimize_types", stub_inner(evaluated, lambda d: 1.0))
         report = outer_maximize(3, 1.0, 1, {"grid_mesh": 7}, seed=0)
         assert tuple(report.d.d) == evaluated[0]
 
@@ -176,3 +181,159 @@ class TestOuterMaximize:
         config = {"grid_mesh": 4, "starts": 2, "maxiter": 100}
         report = outer_maximize(2, 0.3, 1, config, seed=0)
         assert abs(report.d.d[0] - 0.5) <= 0.15
+
+
+def drive(run, fn):
+    """Run a nelder_mead generator to the end, evaluating its points one by one."""
+    values = None
+    try:
+        while True:
+            points = run.send(values)
+            values = np.array([fn(p) for p in points])
+    except StopIteration as stop:
+        return stop.value
+
+
+def single_objective(d, r, beta):
+    return lambda theta: optimize._objective_rows(d.d[None], r, beta, theta[None])[0][0]
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def infeasible_start(d, r):
+    param = PathParametrization(d, r)
+    theta = param.default_start()
+    theta[-param.n_tri :] = 2.0  # an increment larger than diag(d)
+    assert param.decode(theta)[1] is None
+    return theta
+
+
+class TestNelderMead:
+    """scipy.optimize.minimize is the oracle: the port takes its steps."""
+
+    def assert_matches_scipy(self, fn, x0, maxiter):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        res = scipy_optimize.minimize(
+            fn, x0, method="Nelder-Mead",
+            options={"maxiter": maxiter, "xatol": optimize.XATOL, "fatol": optimize.FATOL},
+        )
+        x, fun, nit, nfev, converged = drive(optimize.nelder_mead(x0, maxiter), fn)
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+        assert (nit, nfev, converged) == (res.nit, res.nfev, res.success)
+
+    @pytest.mark.parametrize("kappa,r,beta", [(2, 1, 1.0), (3, 1, 1.5), (2, 2, 0.8)])
+    def test_real_objective(self, kappa, r, beta):
+        d = StateDistribution(np.array([0.6, 0.4]) if kappa == 2 else np.array([0.5, 0.3, 0.2]))
+        param = PathParametrization(d, r)
+        fn = single_objective(d, r, beta)
+        starts = [param.default_start(), param.random_start(seeded(5, kappa, r))]
+        if r > 1:
+            starts.append(infeasible_start(d, r))
+        for x0 in starts:
+            self.assert_matches_scipy(fn, x0, 120)
+
+    def test_rosenbrock(self):
+        for x0, maxiter in [(np.array([-1.2, 1.0]), 400), (np.array([0.0, 0.0, 0.0]), 60)]:
+            self.assert_matches_scipy(rosenbrock, x0, maxiter)
+
+    def test_converged_flag(self):
+        fn = lambda x: float(np.sum((x - 0.3) ** 2))  # noqa: E731
+        assert drive(optimize.nelder_mead(np.zeros(2), 500), fn)[4]
+        assert not drive(optimize.nelder_mead(np.zeros(2), 5), fn)[4]
+
+    def test_expit_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        points = np.concatenate([
+            [37.0, -37.0, 745.0, -745.0, 1e-300, -1e-300, -709.78, -709.79, 0.0],
+            seeded(6).standard_normal(2000) * 30.0,
+        ])
+        for v in points:
+            assert np.float64(optimize._expit(float(v))).tobytes() == special.expit(v).tobytes()
+
+
+def mixed_rows():
+    """(d, r, theta) rows: several d including (1, 0), the r = 2 default
+    start (a rank-0 first level) and infeasible rows."""
+    rng = seeded(7)
+    ds = [StateDistribution(np.array(v)) for v in ([0.5, 0.5], [1.0, 0.0], [0.7, 0.3])]
+    rows = []
+    for d in ds:
+        for r in (1, 2):
+            param = PathParametrization(d, r)
+            rows.append((d, r, param.default_start()))
+            rows.append((d, r, param.random_start(rng)))
+            if r == 2:
+                rows.append((d, r, infeasible_start(d, r)))
+    return rows
+
+
+class TestBatchInvariance:
+    def test_objective_rows_equal_single_calls(self):
+        rows = mixed_rows()
+        for r, beta in itertools.product((1, 2), (0.3, 1.3)):
+            batch = [(d, theta) for d, rr, theta in rows if rr == r]
+            d_rows = np.array([d.d for d, _ in batch])
+            values, infeasible = optimize._objective_rows(
+                d_rows, r, beta, np.array([theta for _, theta in batch])
+            )
+            assert infeasible.any() == (r == 2) and not infeasible.all()
+            for (d, theta), value, bad in zip(batch, values, infeasible):
+                alone = optimize._objective_rows(d.d[None], r, beta, theta[None])[0][0]
+                assert value.tobytes() == alone.tobytes()
+                lam, path, _ = PathParametrization(d, r).decode(theta)
+                assert (path is None) == bad
+                if path is not None:
+                    assert value == eval_parisi(lam, d, path, beta).value
+
+    @pytest.mark.parametrize("kappa,r,mesh", [(2, 1, 6), (2, 2, 2)])
+    def test_outer_report_equals_inner_alone(self, kappa, r, mesh):
+        config = {"grid_mesh": mesh, "starts": 3, "maxiter": 40}
+        report = outer_maximize(kappa, 1.2, r, config, seed=4)
+        alone = [
+            inner_minimize(StateDistribution(np.array(t)), r, 1.2, config, seed=4)
+            for t in report.extra["types"]
+        ]
+        assert report.extra["type_values"] == [a.value for a in alone]
+        chosen = alone[int(np.argmax(report.extra["type_values"]))].to_json_dict()
+        assert report.to_json_dict() == dict(chosen, extra=report.extra)
+
+
+class TestEntropyFloor:
+    """No value of the objective lies below H(d); a lower returned value
+    means the objective is broken, and the optimizer raises."""
+
+    def low_objective(self, d_rows, r, beta, thetas):
+        floor = np.array([entropy(StateDistribution(d)) for d in d_rows])
+        return floor - 1e-6, np.zeros(len(thetas), dtype=bool)
+
+    def test_inner_minimize_raises(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_objective_rows", self.low_objective)
+        d = StateDistribution(np.array([0.75, 0.25]))
+        with pytest.raises(RuntimeError, match="below the entropy"):
+            inner_minimize(d, 1, 1.0, {"starts": 2, "maxiter": 10})
+
+    def test_lockstep_outer_raises(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_objective_rows", self.low_objective)
+        with pytest.raises(RuntimeError, match="below the entropy"):
+            outer_maximize(2, 1.0, 1, {"grid_mesh": 4, "starts": 2, "maxiter": 10})
+
+    def test_value_at_the_floor_passes(self, monkeypatch):
+        def at_floor(d_rows, r, beta, thetas):
+            values, bad = self.low_objective(d_rows, r, beta, thetas)
+            return values + 1e-6 - 0.5e-9, bad
+
+        monkeypatch.setattr(optimize, "_objective_rows", at_floor)
+        d = StateDistribution(np.array([0.75, 0.25]))
+        report = inner_minimize(d, 1, 1.0, {"starts": 2, "maxiter": 10})
+        assert report.value == pytest.approx(entropy(d), abs=1e-9)
+
+
+class TestStartStats:
+    def test_nfev_and_converged(self):
+        report = inner_minimize(StateDistribution.uniform(2), 1, 0.5, LIGHT, seed=0)
+        for stat in report.starts:
+            assert stat["nfev"] >= stat["iterations"] + 2
+            assert stat["converged"] == (stat["iterations"] < LIGHT["maxiter"])
