@@ -114,9 +114,9 @@ def _phi_rows(lam_full, x_levels, covs, beta, quad):
 
     lam_full (B, kappa), x_levels (B, r) and covs (B, r, kappa, kappa).  Each
     level is _level_value's log-mean-exp.  Paths whose levels have the same
-    ranks share grid shapes and recurse together.  Every path's node count is
-    checked against the budget before any grid is built.  Returns the values
-    and the node counts.
+    ranks share grid shapes and recurse together, in chunks of at most
+    quad.budget nodes.  Every path's node count is checked against the budget
+    before any grid is built.  Returns the values and the node counts.
     """
     n = quad.nodes_per_dim
     kappa = lam_full.shape[1]
@@ -133,30 +133,35 @@ def _phi_rows(lam_full, x_levels, covs, beta, quad):
         groups.setdefault(row, []).append(b)
     phi = np.empty(len(ranks))
     for signature, rows in groups.items():
-        # eigh's eigenvalues ascend, so the kept columns are the last ones
-        levels = [
-            _gh_nodes(np.ascontiguousarray(factor[rows, p, :, kappa - k :]), n)
-            for p, k in enumerate(signature)
-        ]
-        phi[rows] = _recurse(levels, x_levels[rows], lam_full[rows], beta)
+        # a chunk holds at most quad.budget nodes over all its paths, so a
+        # batch needs no more memory than one path at the budget
+        per_chunk = max(1, quad.budget // n ** sum(signature))
+        for start in range(0, len(rows), per_chunk):
+            chunk = rows[start : start + per_chunk]
+            # eigh's eigenvalues ascend, so the kept columns are the last ones
+            levels = [
+                _gh_nodes(np.ascontiguousarray(factor[chunk, p, :, kappa - k :]), n)
+                for p, k in enumerate(signature)
+            ]
+            phi[chunk] = _recurse(levels, x_levels[chunk], lam_full[chunk], beta)
     return phi, totals
 
 
 def _recurse(levels, x_levels, lam_full, beta):
-    """The recursion over a group of paths with the same grid shapes."""
+    """The recursion over a group of paths with the same grid shapes: the
+    fields summed down every level's nodes, then each level's value taken
+    from the deepest up.  A loop, not a nested closure: a self-referencing
+    closure is a reference cycle, and would keep each call's node arrays
+    alive until the cyclic garbage collector runs."""
     g, kappa = lam_full.shape
-
-    def recurse(p, s):
-        if p == len(levels):
-            return logsumexp(beta * s + lam_full[:, None, :], axis=2)
+    s = np.zeros((g, 1, kappa))
+    for nodes, _ in levels:
+        s = (s[:, :, None, :] + nodes[:, None, :, :]).reshape(g, -1, kappa)
+    value = logsumexp(beta * s + lam_full[:, None, :], axis=2)
+    for p in reversed(range(len(levels))):
         nodes, logw = levels[p]
-        m = s.shape[1]
-        n_p = nodes.shape[1]
-        expanded = (s[:, :, None, :] + nodes[:, None, :, :]).reshape(g, m * n_p, kappa)
-        inner = recurse(p + 1, expanded).reshape(g, m, n_p)
-        return _level_value(inner, logw, x_levels[:, p])
-
-    return recurse(0, np.zeros((g, 1, kappa)))[:, 0]
+        value = _level_value(value.reshape(g, -1, nodes.shape[1]), logw, x_levels[:, p])
+    return value[:, 0]
 
 
 def eval_phi(lam, path, beta, quad=None):

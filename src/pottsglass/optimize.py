@@ -151,7 +151,7 @@ def _objective_rows(d, r, beta, thetas):
     return values, infeasible
 
 
-def nelder_mead(x0, maxiter, xatol=XATOL, fatol=FATOL):
+def nelder_mead(x0, maxiter):
     """Nelder-Mead from x0 as a generator: it yields each batch of points it
     needs, a (k, n) array, and is sent their k values; it returns
     (x, fun, nit, nfev, converged).
@@ -159,7 +159,7 @@ def nelder_mead(x0, maxiter, xatol=XATOL, fatol=FATOL):
     The steps are those of scipy 1.17.1's minimize(method="Nelder-Mead")
     with adaptive=False, no bounds and maxfev unbounded, so x, fun, nit and
     nfev are bitwise scipy's.  The initial simplex and a shrink are one batch
-    each.  converged says the xatol/fatol test was met before maxiter.
+    each.  converged says the XATOL/FATOL test was met before maxiter.
     """
     x0 = np.asarray(x0, dtype=float).flatten()
     n = len(x0)
@@ -187,8 +187,8 @@ def nelder_mead(x0, maxiter, xatol=XATOL, fatol=FATOL):
     converged = False
     while iterations < maxiter:
         if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL
         ):
             converged = True
             break

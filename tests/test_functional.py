@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import random_distribution, random_path, seeded
+from pottsglass import functional
 from pottsglass.cascade import CascadeSpec, sample_cascade, sample_level_fields
 from pottsglass.core import EvalResult, MonotonePath, StateDistribution, psd_factor
 from pottsglass.functional import (
@@ -341,6 +342,29 @@ class TestEvalParisiRows:
                 assert rearranged[b] == alone.diagnostics["rearranged_value"]
                 assert totals[b] == alone.diagnostics["node_evaluations"]
                 assert phi[b] == reference_phi(lam[b], path, beta, 5)
+
+    def test_chunks_keep_nodes_under_budget_and_bytes(self, monkeypatch):
+        rng = seeded(28)
+        paths = mixed_paths(rng, 2, 2) * 3
+        lam = rng.uniform(-1.0, 1.0, size=(len(paths), 1))
+        quad = QuadratureSpec(nodes_per_dim=3, budget=200)
+        rows = [np.array([p.d.d for p in paths]), np.array([p.xs for p in paths]),
+                np.array([p.gammas for p in paths])]
+        chunks = []
+        recurse = functional._recurse
+
+        def recorded(levels, x_levels, lam_full, beta):
+            chunks.append((len(lam_full), tuple(nodes.shape[1] for nodes, _ in levels)))
+            return recurse(levels, x_levels, lam_full, beta)
+
+        monkeypatch.setattr(functional, "_recurse", recorded)
+        value, phi, _, _ = eval_parisi_rows(lam, *rows, 1.0, quad)
+        assert all(g * np.prod(shape) <= quad.budget for g, shape in chunks)
+        assert len(chunks) > len(set(shape for _, shape in chunks))  # some group was split
+        for b, path in enumerate(paths):
+            alone = eval_parisi(lam[b], path.d, path, 1.0, quad)
+            assert value[b].tobytes() == np.float64(alone.value).tobytes()
+            assert phi[b].tobytes() == np.float64(alone.diagnostics["phi"]).tobytes()
 
     def test_endpoint_mismatch_raises(self):
         d = StateDistribution(np.array([0.5, 0.5]))

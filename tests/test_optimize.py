@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import expit
 
 from conftest import seeded
 from pottsglass import optimize
@@ -214,8 +216,7 @@ class TestNelderMead:
     """scipy.optimize.minimize is the oracle: the port takes its steps."""
 
     def assert_matches_scipy(self, fn, x0, maxiter):
-        scipy_optimize = pytest.importorskip("scipy.optimize")
-        res = scipy_optimize.minimize(
+        res = minimize(
             fn, x0, method="Nelder-Mead",
             options={"maxiter": maxiter, "xatol": optimize.XATOL, "fatol": optimize.FATOL},
         )
@@ -245,13 +246,12 @@ class TestNelderMead:
         assert not drive(optimize.nelder_mead(np.zeros(2), 5), fn)[4]
 
     def test_expit_matches_scipy(self):
-        special = pytest.importorskip("scipy.special")
         points = np.concatenate([
             [37.0, -37.0, 745.0, -745.0, 1e-300, -1e-300, -709.78, -709.79, 0.0],
             seeded(6).standard_normal(2000) * 30.0,
         ])
         for v in points:
-            assert np.float64(optimize._expit(float(v))).tobytes() == special.expit(v).tobytes()
+            assert np.float64(optimize._expit(float(v))).tobytes() == expit(v).tobytes()
 
 
 def mixed_rows():
