@@ -6,15 +6,25 @@ partial sums.  Leaf weights are products of the unnormalized atoms along
 root-to-leaf paths, normalized once across all leaves; normalizing per node
 instead would keep the log-moment recursion but break the joint overlap
 distribution, so the node totals must be carried through.  Averages over
-the leaves are folded up the tree from the atoms, with no K^r leaf array.
+the leaves are folded up the tree from the atoms, with no K^r leaf array:
+the deepest level's fields are drawn and reduced in blocks of parents, so a
+replicate holds the K^r atoms and one block.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import OverlapArray, psd_factor
-from .util import ValidationError, jackknife_se, logsumexp, map_indexed, stream
+from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
+
+# rows x leaves of the deepest level folded per block; of 8k, 16k, 32k and 64k
+# cells, 32k gave the fastest Phi-MC replicates (see CHANGES.md)
+FOLD_BLOCK_CELLS = 32768
+# leaves K**r per cascade: the deepest atoms alone take 8 bytes a leaf, so
+# this caps them at 64 MiB per replicate and still admits r = 3 at K = 200
+MAX_LEAVES = 2**23
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,10 @@ class CascadeSpec:
             raise ValidationError("level parameters must satisfy 0 < x_0 < ... < x_{r-1} < 1")
         if self.atoms_per_level < 2:
             raise ValidationError("need at least 2 atoms per level")
+        if self.atoms_per_level ** len(x) > MAX_LEAVES:
+            raise BudgetError(
+                f"{self.atoms_per_level}**{len(x)} cascade leaves exceed the budget of {MAX_LEAVES}"
+            )
 
     @property
     def r(self):
@@ -47,32 +61,67 @@ def _pd_weights(rng, zeta, shape_rows, k):
     the decreasing head of a Poisson process with intensity zeta t^{-1-zeta}.
     Logs keep small zeta usable: the atoms then span a huge dynamic range and
     the cascade correctly degenerates toward a single atom as zeta -> 0.  The
-    one shift per level cancels in every normalized average.
+    one shift per level cancels in every normalized average.  Every step
+    runs in the buffer of the exponential draw.
     """
-    gamma = np.cumsum(rng.standard_exponential(size=(shape_rows, k)), axis=1)
-    log_w = -np.log(gamma) / zeta
-    return log_w - log_w.max()
+    log_w = rng.standard_exponential(size=(shape_rows, k))
+    np.cumsum(log_w, axis=1, out=log_w)
+    np.log(log_w, out=log_w)
+    np.negative(log_w, out=log_w)
+    np.divide(log_w, zeta, out=log_w)
+    return np.subtract(log_w, log_w.max(), out=log_w)
 
 
-def _fold(log_atoms, terms):
-    """Bottom-up log sums: entry q is (..., K**q), per depth-q node the log of
-    the sum over the leaves below it of the atoms and exp(terms) beneath it.
+def _log_sum_children(t):
+    """Per parent, the log-sum-exp over its children on the last axis,
+    shifted by its own largest child."""
+    top = t.max(axis=-1, keepdims=True)
+    shifted = t - top
+    return np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + top[..., 0]
 
-    terms[p] is None or (..., K**(p+1)) over the depth p+1 nodes, siblings
-    contiguous.  Each parent is one log-sum-exp over its K children on the
-    last axis, shifted by its own largest child.
+
+def _fold(log_atoms, *term_lists):
+    """Bottom-up log sums, one list per term list: entry q is (..., K**q),
+    per depth-q node the log of the sum over the leaves below it of the
+    atoms and exp(terms) beneath it.
+
+    terms[p] for p < r - 1 is None or (..., K**(p+1)) over the depth p+1
+    nodes, siblings contiguous.  The deepest level's terms[-1] is None, such
+    an array, or a block source: source(lo, hi) returns the (..., (hi-lo)*K)
+    terms of the children of depth r-1 parents lo..hi-1, and is called on
+    consecutive blocks from 0.  Each block adds its atoms and reduces every
+    parent before the next block is made, so no K**r array beyond the atoms
+    is held.  A block has at most FOLD_BLOCK_CELLS rows times leaves, the
+    rows read off the in-memory terms, and at least one parent.
     """
-    sums = [None] * len(log_atoms)
-    for p in range(len(log_atoms) - 1, -1, -1):
-        log_w = t = log_atoms[p]
-        if p + 1 < len(sums):  # the children's own sums
+    deepest = log_atoms[-1]
+    n_parents, k = deepest.shape
+    rows = max(
+        (math.prod(t.shape[:-1]) for terms in term_lists for t in terms if isinstance(t, np.ndarray)),
+        default=1,
+    )
+    step = max(1, FOLD_BLOCK_CELLS // (rows * k))
+    blocks = [[] for _ in term_lists]
+    for lo in range(0, n_parents, step):
+        hi = min(lo + step, n_parents)
+        log_w = deepest[lo:hi]
+        for terms, done in zip(term_lists, blocks):
+            t, source = log_w, terms[-1]
+            if source is not None:
+                block = source(lo, hi) if callable(source) else source[..., lo * k : hi * k]
+                t = block.reshape(block.shape[:-1] + log_w.shape) + t
+            done.append(_log_sum_children(t))
+    folds = []
+    for terms, done in zip(term_lists, blocks):
+        sums = [None] * (len(log_atoms) - 1) + [done[0] if len(done) == 1 else np.concatenate(done, axis=-1)]
+        for p in range(len(log_atoms) - 2, -1, -1):
+            log_w = t = log_atoms[p]
             t = sums[p + 1].reshape(sums[p + 1].shape[:-1] + log_w.shape) + t
-        if terms[p] is not None:
-            t = terms[p].reshape(terms[p].shape[:-1] + log_w.shape) + t
-        top = t.max(axis=-1, keepdims=True)
-        shifted = t - top
-        sums[p] = np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + top[..., 0]
-    return sums
+            if terms[p] is not None:
+                t = terms[p].reshape(terms[p].shape[:-1] + log_w.shape) + t
+            sums[p] = _log_sum_children(t)
+        folds.append(sums)
+    return folds
 
 
 @dataclass(frozen=True)
@@ -85,6 +134,9 @@ class CascadeSample:
 
     spec: CascadeSpec
     log_atoms: tuple
+    # the atoms-only fold (entry q the (K**q,) log subtree masses), set by
+    # the first fold that needs it
+    _log_mass: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def r(self):
@@ -100,10 +152,18 @@ class CascadeSample:
 
     def log_mean_exp(self, terms):
         """log sum_leaf v_leaf exp(sum_p terms[p] at the leaf's depth p+1 node)
-        for the normalized leaf weights v, per leading index of the terms (laid
-        out as in _fold); the normalization is folded the same way."""
-        log_norm = _fold(self.log_atoms, [None] * self.r)[0][0]
-        return _fold(self.log_atoms, terms)[0][..., 0] - log_norm
+        for the normalized leaf weights v, per leading index of the terms.
+
+        terms[p] is (..., K**(p+1)) over the depth p+1 nodes, and the deepest
+        entry may instead be a block source (see _fold), which streams that
+        level.  The first call folds the normalization in the same loop.
+        """
+        if self._log_mass is None:
+            sums, mass = _fold(self.log_atoms, terms, [None] * self.r)
+            object.__setattr__(self, "_log_mass", mass)
+        else:
+            (sums,) = _fold(self.log_atoms, terms)
+        return sums[0][..., 0] - self._log_mass[0][0]
 
     @property
     def leaf_weights(self):
@@ -135,12 +195,14 @@ class CascadeSample:
     def pair_coincidence_masses(self):
         """sum over pairs with meet depth p of v_a v_a', for p = 0..r: the
         squared subtree masses at depth q fold the doubled atoms above q."""
-        log_mass = _fold(self.log_atoms, [None] * self.r) + [None]  # a leaf's is log 1
+        if self._log_mass is None:
+            object.__setattr__(self, "_log_mass", _fold(self.log_atoms, [None] * self.r)[0])
+        log_mass = self._log_mass + [None]  # a leaf's is log 1
         subtree_sq = [1.0]
         for q in range(1, self.r + 1):
             doubled = [2.0 * log_w for log_w in self.log_atoms[:q]]
             bottom = None if log_mass[q] is None else 2.0 * log_mass[q]
-            folded = _fold(doubled, [None] * (q - 1) + [bottom])[0][0]
+            folded = _fold(doubled, [None] * (q - 1) + [bottom])[0][0][0]
             subtree_sq.append(float(np.exp(folded - 2.0 * log_mass[0][0])))
         a = np.asarray(subtree_sq)
         return np.append(-np.diff(a), a[-1])
@@ -152,24 +214,37 @@ def sample_cascade(spec, rng):
     return CascadeSample(spec, tuple(_pd_weights(rng, x, k**p, k) for p, x in enumerate(spec.x)))
 
 
-def sample_level_fields(sample, cov_increments, rng, n_copies=1):
-    """Independent Gaussian node fields, one standard normal draw
-    (K**(p+1), n_copies, dim) per level p in order.
+def level_field_source(sample, cov_increments, rng, n_copies=1):
+    """Independent Gaussian node fields: the upper levels' drawn now, and a
+    block source for the deepest level's.
 
     cov_increments[p] is the dim x dim covariance of the level-(p+1)
-    increment (dim = 1 for a scalar field).  Entry p is (n_copies, dim,
-    K**(p+1)) over the depth p+1 nodes: a leaf's field, the sum of its
-    ancestors', has covariance the sum of the increments down to a meet.
+    increment (dim = 1 for a scalar field).  Level p is one standard normal
+    draw (K**(p+1), n_copies, dim) in level order, and its fields are
+    (n_copies, dim, K**(p+1)) over the depth p+1 nodes: a leaf's field, the
+    sum of its ancestors', has covariance the sum of the increments down to
+    a meet.  Returns (upper fields, deepest) where deepest(lo, hi) draws the
+    fields of the children of depth r-1 parents lo..hi-1; called on
+    consecutive blocks from 0, it continues the stream of rng, so its
+    blocks equal one draw of the whole level.
     """
     if len(cov_increments) != sample.r:
         raise ValidationError("need one covariance increment per level")
-    fields = []
-    for p, cov in enumerate(cov_increments):
-        _, factor = psd_factor(np.asarray(cov, dtype=float))
-        z = rng.standard_normal((sample.k ** (p + 1), n_copies, factor.shape[0]))
-        # one contiguous (dim, K**(p+1)) operand per copy keeps the child axis last
-        fields.append(factor @ np.ascontiguousarray(z.transpose(1, 2, 0)))
-    return tuple(fields)
+    factors = [psd_factor(np.asarray(cov, dtype=float))[1] for cov in cov_increments]
+
+    def draw(factor, n_nodes):
+        z = rng.standard_normal((n_nodes, n_copies, factor.shape[0]))
+        # one contiguous (dim, n_nodes) operand per copy keeps the child axis last
+        return factor @ np.ascontiguousarray(z.transpose(1, 2, 0))
+
+    upper = tuple(draw(f, sample.k ** (p + 1)) for p, f in enumerate(factors[:-1]))
+    return upper, lambda lo, hi: draw(factors[-1], (hi - lo) * sample.k)
+
+
+def sample_level_fields(sample, cov_increments, rng, n_copies=1):
+    """Every level's node fields in memory, as level_field_source draws them."""
+    upper, deepest = level_field_source(sample, cov_increments, rng, n_copies)
+    return upper + (deepest(0, sample.k ** (sample.r - 1)),)
 
 
 def sample_overlap_array(sample, q, phi, n, rng):
@@ -196,12 +271,14 @@ def sample_overlap_array(sample, q, phi, n, rng):
 def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
     spec = CascadeSpec(tuple(path.inner_x), k)
     var_inc = path.hs_increments()[:, None, None]
+    scale = beta * np.sqrt(scale_n)
 
     def one(i):
         rng = stream(seed, 0x11D, k, i)
         sample = sample_cascade(spec, rng)
-        y = sample_level_fields(sample, var_inc, rng)
-        return float(sample.log_mean_exp([beta * np.sqrt(scale_n) * g[0, 0] for g in y]) / scale_n)
+        upper, deepest = level_field_source(sample, var_inc, rng)
+        terms = [scale * g[0, 0] for g in upper] + [lambda lo, hi: scale * deepest(lo, hi)[0, 0]]
+        return float(sample.log_mean_exp(terms) / scale_n)
 
     values = np.asarray(map_indexed(one, reps, threads))
     return float(values.mean()), jackknife_se(values)
@@ -215,6 +292,7 @@ def verify_y_identity(path, beta, scale_N=1, reps=400, atoms_per_level=200, seed
     """
     if scale_N < 1:
         raise ValidationError("scale_N must be at least 1")
+    CascadeSpec(tuple(path.inner_x), 2 * atoms_per_level)  # the 2K pass's budget, before any draw
     closed = 0.5 * beta**2 * path.hs_telescoped()
     est, se = _y_estimate(path, beta, scale_N, reps, atoms_per_level, seed, threads)
     est2, se2 = _y_estimate(path, beta, scale_N, reps, 2 * atoms_per_level, seed, threads)

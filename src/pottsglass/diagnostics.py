@@ -153,6 +153,7 @@ def interpolation_curve(
     counts = d.counts(N)
     configs = enumerate_configs(N, kappa, counts)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
+    k = atoms_per_level
     cov_inc = path.increment_covariances()
     var_inc = path.hs_increments()[:, None, None]
     sqrt_n = np.sqrt(N)
@@ -167,7 +168,10 @@ def interpolation_curve(
         zterms = [config_field_sum(level, configs - 1) for level in z]
         out = np.empty(t_grid.size + 1)
         for j, t in enumerate(t_grid):
-            terms = [beta * (np.sqrt(1.0 - t) * zt + np.sqrt(t) * sqrt_n * yt) for zt, yt in zip(zterms, y)]
+            a, b = np.sqrt(1.0 - t), np.sqrt(t) * sqrt_n
+            terms = [beta * (a * zt + b * yt) for zt, yt in zip(zterms[:-1], y[:-1])]
+            zt, yt = zterms[-1], y[-1]
+            terms.append(lambda lo, hi: beta * (a * zt[:, lo * k : hi * k] + b * yt[lo * k : hi * k]))
             out[j] = logsumexp(beta * np.sqrt(t) * h + sample.log_mean_exp(terms)) / N
         # the cascade-only endpoint term, from the same sample so its
         # truncation bias cancels in the t=1 decomposition

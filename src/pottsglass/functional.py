@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, sample_cascade, sample_level_fields
+from .cascade import CascadeSpec, level_field_source, sample_cascade
 from .core import (
     EvalResult,
     as_multipliers,
@@ -263,10 +263,13 @@ def config_field_sum(fields, configs):
 
 def _cascade_replicate(rng, spec, cov_inc, configs, lam_term, beta):
     """One cascade draw's (1/M) log sum_alpha v_alpha sum_sigma exp(...): the
-    atoms and then every level's fields from rng, folded down the tree."""
+    atoms and then every level's fields from rng, folded down the tree with
+    the deepest level drawn block by block."""
     sample = sample_cascade(spec, rng)
-    fields = sample_level_fields(sample, cov_inc, rng, n_copies=configs.shape[1])
-    per_conf = sample.log_mean_exp([beta * config_field_sum(g, configs) for g in fields])
+    upper, deepest = level_field_source(sample, cov_inc, rng, n_copies=configs.shape[1])
+    terms = [beta * config_field_sum(g, configs) for g in upper]
+    terms.append(lambda lo, hi: beta * config_field_sum(deepest(lo, hi), configs))
+    per_conf = sample.log_mean_exp(terms)
     return float(logsumexp(lam_term + per_conf) / configs.shape[1])
 
 
