@@ -214,23 +214,28 @@ def sample_cascade(spec, rng):
     return CascadeSample(spec, tuple(_pd_weights(rng, x, k**p, k) for p, x in enumerate(spec.x)))
 
 
-def level_field_source(sample, cov_increments, rng, n_copies=1):
+def level_factors(cov_increments):
+    """The factor of each level's dim x dim covariance increment (dim = 1 for
+    a scalar field), whose outer product is its PSD projection: computed once
+    per call of a cascade average and shared by its replicates."""
+    return [psd_factor(np.asarray(cov, dtype=float))[1] for cov in cov_increments]
+
+
+def level_field_source(sample, factors, rng, n_copies=1):
     """Independent Gaussian node fields: the upper levels' drawn now, and a
     block source for the deepest level's.
 
-    cov_increments[p] is the dim x dim covariance of the level-(p+1)
-    increment (dim = 1 for a scalar field).  Level p is one standard normal
-    draw (K**(p+1), n_copies, dim) in level order, and its fields are
-    (n_copies, dim, K**(p+1)) over the depth p+1 nodes: a leaf's field, the
-    sum of its ancestors', has covariance the sum of the increments down to
-    a meet.  Returns (upper fields, deepest) where deepest(lo, hi) draws the
-    fields of the children of depth r-1 parents lo..hi-1; called on
-    consecutive blocks from 0, it continues the stream of rng, so its
-    blocks equal one draw of the whole level.
+    factors[p] is the level_factors entry of the level-(p+1) increment.
+    Level p is one standard normal draw (K**(p+1), n_copies, dim) in level
+    order, and its fields are (n_copies, dim, K**(p+1)) over the depth p+1
+    nodes: a leaf's field, the sum of its ancestors', has covariance the sum
+    of the increments down to a meet.  Returns (upper fields, deepest) where
+    deepest(lo, hi) draws the fields of the children of depth r-1 parents
+    lo..hi-1; called on consecutive blocks from 0, it continues the stream
+    of rng, so its blocks equal one draw of the whole level.
     """
-    if len(cov_increments) != sample.r:
+    if len(factors) != sample.r:
         raise ValidationError("need one covariance increment per level")
-    factors = [psd_factor(np.asarray(cov, dtype=float))[1] for cov in cov_increments]
 
     def draw(factor, n_nodes):
         z = rng.standard_normal((n_nodes, n_copies, factor.shape[0]))
@@ -241,9 +246,9 @@ def level_field_source(sample, cov_increments, rng, n_copies=1):
     return upper, lambda lo, hi: draw(factors[-1], (hi - lo) * sample.k)
 
 
-def sample_level_fields(sample, cov_increments, rng, n_copies=1):
+def sample_level_fields(sample, factors, rng, n_copies=1):
     """Every level's node fields in memory, as level_field_source draws them."""
-    upper, deepest = level_field_source(sample, cov_increments, rng, n_copies)
+    upper, deepest = level_field_source(sample, factors, rng, n_copies)
     return upper + (deepest(0, sample.k ** (sample.r - 1)),)
 
 
@@ -270,13 +275,13 @@ def sample_overlap_array(sample, q, phi, n, rng):
 
 def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
     spec = CascadeSpec(tuple(path.inner_x), k)
-    var_inc = path.hs_increments()[:, None, None]
+    factors = level_factors(path.hs_increments()[:, None, None])
     scale = beta * np.sqrt(scale_n)
 
     def one(i):
         rng = stream(seed, 0x11D, k, i)
         sample = sample_cascade(spec, rng)
-        upper, deepest = level_field_source(sample, var_inc, rng)
+        upper, deepest = level_field_source(sample, factors, rng)
         terms = [scale * g[0, 0] for g in upper] + [lambda lo, hi: scale * deepest(lo, hi)[0, 0]]
         return float(sample.log_mean_exp(terms) / scale_n)
 

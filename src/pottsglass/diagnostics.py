@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, sample_cascade, sample_level_fields
+from .cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields
 from .core import OverlapArray, psd_factor, round_distribution
 from .functional import config_field_sum, eval_f1_restricted, eval_phi
 from .model import (
@@ -39,12 +39,15 @@ def _gg_samples(array_samples, f, n, q_fn):
 
 
 def _gg_residual_of(columns, n):
+    """The signed moment-identity residual of the column means."""
     means = columns.mean(axis=0)
     cross = means[3:].sum() if columns.shape[1] > 3 else 0.0
-    return abs(means[1] - means[0] * means[2] / n - cross / n)
+    return means[1] - means[0] * means[2] / n - cross / n
 
 
 def _bootstrap_se(columns, n, n_boot, seed):
+    """Bootstrap standard deviation of the signed residual: that of its
+    absolute value is smaller and would bias the error low."""
     m = columns.shape[0]
 
     def one(b):
@@ -59,7 +62,7 @@ def gg_residual(array_samples, f, n, spec, n_boot=200, seed=0):
     """Moment-identity residual for the covariance functional of a
     perturbation spec, with bootstrap standard error over arrays."""
     cols = _gg_samples(array_samples, f, n, lambda b: perturbation_covariance(spec, b))
-    residual = _gg_residual_of(cols, n)
+    residual = abs(_gg_residual_of(cols, n))
     se = _bootstrap_se(cols, n, n_boot, seed)
     return {"residual": float(residual), "std_error": se, "n_arrays": cols.shape[0], "n": n}
 
@@ -67,7 +70,7 @@ def gg_residual(array_samples, f, n, spec, n_boot=200, seed=0):
 def gg_polynomial_extension_check(array_samples, phi, n, spec, n_boot=200, seed=0):
     """Same residual with phi(quadratic forms) replacing the covariance."""
     cols = _gg_samples(array_samples, f=lambda a: 1.0, n=n, q_fn=lambda b: float(phi(quadratic_forms(spec, b))))
-    residual = _gg_residual_of(cols, n)
+    residual = abs(_gg_residual_of(cols, n))
     se = _bootstrap_se(cols, n, n_boot, seed)
     return {"residual": float(residual), "std_error": se, "n_arrays": cols.shape[0], "n": n}
 
@@ -154,16 +157,16 @@ def interpolation_curve(
     configs = enumerate_configs(N, kappa, counts)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
     k = atoms_per_level
-    cov_inc = path.increment_covariances()
-    var_inc = path.hs_increments()[:, None, None]
+    z_factors = level_factors(path.increment_covariances())
+    y_factors = level_factors(path.hs_increments()[:, None, None])
     sqrt_n = np.sqrt(N)
 
     def one(i):
         g = DisorderInstance(N, seed, draw=i)
         rng = stream(seed, 0x17E, i)
         sample = sample_cascade(spec, rng)
-        z = sample_level_fields(sample, cov_inc, rng, n_copies=N)
-        y = [level[0, 0] for level in sample_level_fields(sample, var_inc, rng)]
+        z = sample_level_fields(sample, z_factors, rng, n_copies=N)
+        y = [level[0, 0] for level in sample_level_fields(sample, y_factors, rng)]
         h = config_energies(configs, g.g) - mean_energy(g.g, kappa, counts)
         zterms = [config_field_sum(level, configs - 1) for level in z]
         out = np.empty(t_grid.size + 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, level_field_source, sample_cascade
+from .cascade import CascadeSpec, level_factors, level_field_source, sample_cascade
 from .core import (
     EvalResult,
     as_multipliers,
@@ -261,12 +261,12 @@ def config_field_sum(fields, configs):
     return acc
 
 
-def _cascade_replicate(rng, spec, cov_inc, configs, lam_term, beta):
+def _cascade_replicate(rng, spec, factors, configs, lam_term, beta):
     """One cascade draw's (1/M) log sum_alpha v_alpha sum_sigma exp(...): the
     atoms and then every level's fields from rng, folded down the tree with
     the deepest level drawn block by block."""
     sample = sample_cascade(spec, rng)
-    upper, deepest = level_field_source(sample, cov_inc, rng, n_copies=configs.shape[1])
+    upper, deepest = level_field_source(sample, factors, rng, n_copies=configs.shape[1])
     terms = [beta * config_field_sum(g, configs) for g in upper]
     terms.append(lambda lo, hi: beta * config_field_sum(deepest(lo, hi), configs))
     per_conf = sample.log_mean_exp(terms)
@@ -285,11 +285,11 @@ def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, thre
     lam_full = np.append(as_multipliers(lam, path.kappa).lam, 0.0)
     lam_term = lam_full[configs].sum(axis=1)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
-    cov_inc = path.increment_covariances()
+    factors = level_factors(path.increment_covariances())
 
     def one(i):
         rng = stream(seed, tag, atoms_per_level, i)
-        return _cascade_replicate(rng, spec, cov_inc, configs, lam_term, beta)
+        return _cascade_replicate(rng, spec, factors, configs, lam_term, beta)
 
     values = np.asarray(map_indexed(one, reps, threads))
     diagnostics = {"reps": reps, "atoms_per_level": atoms_per_level, **diagnostics}

@@ -7,16 +7,18 @@ constraint-preserving Metropolis with thermodynamic integration.
 """
 
 from dataclasses import dataclass
-from math import factorial, lgamma, prod
+from math import factorial, frexp, ldexp, lgamma, log, prod
 
 import numpy as np
 
 from .core import EvalResult, freeze
-from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
+from .util import BudgetError, ValidationError, jackknife_se, stream
 
-ENUM_BUDGET = 20_000_000  # label cells (rows x N) of an enumerated configuration array
-_ENUM_CHUNK = 8192  # config_energies rows per chunk ...
-_CHUNK_CELLS = _ENUM_CHUNK * 16**2  # ... and site pairs (rows x N^2): fewer rows when N > 16
+ENUM_BUDGET = 20_000_000  # label cells (class size x N) of an enumerated configuration class
+# rows x draws x N of one block's energy product (256 KiB of floats): of
+# 2^14 to 2^17, the largest that keeps 200 stacked N = 10 draws under the
+# 1 MB traced peak of the whole-class enumeration (see CHANGES.md)
+ENUM_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -70,55 +72,194 @@ def overlap(a, b, kappa):
     return np.einsum("ik,il->kl", _one_hot(a, kappa), _one_hot(b, kappa)) / a.size
 
 
-def enumerate_configs(N, kappa, counts=None):
-    """All label vectors in {1..kappa}^N, optionally with fixed state counts.
+class ConfigBlocks:
+    """The configurations of a class in blocks of at most ``rows`` label rows
+    (ENUM_CELLS // N by default), in lexicographic order; iterating yields
+    (rows, N) arrays of labels in 1..kappa, and may be repeated.
 
-    Returns an (n_conf, N) array of labels in lexicographic order.  Only
-    prefixes that can still meet the counts are extended, and before any
-    allocation the budget is checked against the n_conf * N cells returned.
+    The class is {1..kappa}^N, or the type class of counts.  With ``orbits``
+    there is one row per orbit of the relabellings that keep the class: for
+    counts, states of equal positive count are interchangeable and first
+    appear in ascending order; for the free set all states are, and the rows
+    are the restricted growth strings.  ``log_weights`` gives each row's log
+    orbit size.
+
+    The budget is checked against the class size times N before any
+    allocation.  Then one growth pass extends, site by site, only the
+    prefixes that can still meet the counts and the first-appearance order,
+    and stops at the first depth where no prefix has more than ``rows``
+    completions (counted without the order, an upper bound for orbits).  It
+    keeps those prefixes and the points that split them into blocks; each
+    iteration grows a block's remaining sites.
     """
-    if counts is None:
-        total = kappa**N
-        room = np.full((1, kappa), N, dtype=np.int64)
-    else:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (kappa,) or np.any(counts < 0) or counts.sum() != N:
-            raise ValidationError(f"counts must be {kappa} nonnegative integers summing to {N}")
-        total = factorial(N) // prod(factorial(int(c)) for c in counts)
-        room = counts[None, :]
-    if total * N > ENUM_BUDGET:
-        raise BudgetError(
-            f"{total} configurations of {N} sites exceed the enumeration budget "
-            f"of {ENUM_BUDGET} labels"
-        )
-    # grow the prefixes site by site; row-major nonzero lists each prefix's
-    # admissible next labels in ascending order, which keeps the rows sorted
-    step = np.eye(kappa, dtype=np.int64)
-    parents, labels = [], []
-    for _ in range(N):
-        parent, label = np.nonzero(room)
-        room = room[parent] - step[label]
-        parents.append(parent)
-        labels.append(label)
-    configs = np.empty((room.shape[0], N), dtype=np.int64)
-    row = np.arange(room.shape[0])
-    for i in range(N - 1, -1, -1):
-        configs[:, i] = labels[i][row] + 1
-        row = parents[i][row]
+
+    def __init__(self, N, kappa, counts=None, rows=None, orbits=False):
+        if counts is None:
+            size = kappa**N
+            room = np.full((1, kappa), N, dtype=np.int64)
+            tied = [list(range(kappa))]
+        else:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != (kappa,) or np.any(counts < 0) or counts.sum() != N:
+                raise ValidationError(f"counts must be {kappa} nonnegative integers summing to {N}")
+            size = factorial(N) // prod(factorial(int(c)) for c in counts)
+            room = counts[None, :]
+            tied = [np.flatnonzero(counts == c).tolist() for c in np.unique(counts[counts > 0])]
+        if size * N > ENUM_BUDGET:
+            raise BudgetError(
+                f"{size} configurations of {N} sites exceed the enumeration budget "
+                f"of {ENUM_BUDGET} labels"
+            )
+        if rows is not None and rows < 1:
+            raise ValidationError("a block needs at least one row")
+        self.N, self.kappa, self.size = N, kappa, size
+        self.rows = max(1, ENUM_CELLS // max(N, 1)) if rows is None else rows
+        # a state may be placed once it is open; placing it opens the next
+        # state of its tie class
+        opened = np.ones((1, kappa), dtype=bool)
+        self._opens = np.zeros((kappa, kappa), dtype=bool)
+        self._step = np.eye(kappa, dtype=np.int64)
+        if orbits:
+            for states in tied:
+                opened[0, states[1:]] = False
+                self._opens[states[:-1], states[1:]] = True
+        # log orbit size by a row's largest label: kappa!/(kappa-b)! for a
+        # restricted growth string over b states, prod m_c! over the tie
+        # classes for counts, 1 without orbits
+        if not orbits:
+            self._log_w = np.zeros(kappa + 1)
+        elif counts is None:
+            self._log_w = np.array([lgamma(kappa + 1) - lgamma(kappa - b + 1) for b in range(kappa + 1)])
+        else:
+            self._log_w = np.full(kappa + 1, sum(lgamma(len(states) + 1) for states in tied))
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
+        tree = []
+        for depth in range(N + 1):
+            if counts is None:
+                log_completions = np.full(room.shape[0], (N - depth) * log(kappa))
+            else:
+                log_completions = log_fact[N - depth] - log_fact[room].sum(axis=1)
+            if log_completions.max() <= log(self.rows) + 1e-9:
+                break
+            parent, label, room, opened = self._grow(room, opened)
+            tree.append((parent.astype(np.int32), label.astype(np.min_scalar_type(kappa))))
+        # the kept prefixes' labels, read back up the tree
+        self._prefix = np.empty((room.shape[0], len(tree)), dtype=np.min_scalar_type(kappa))
+        row = np.arange(room.shape[0])
+        for i in range(len(tree) - 1, -1, -1):
+            self._prefix[:, i] = tree[i][1][row]
+            row = tree[i][0][row]
+        self._room, self._opened = room, opened
+        # consecutive prefixes are cut into blocks of at most rows completions
+        ends = np.cumsum(np.rint(np.exp(log_completions)).astype(np.int64))
+        self._splits = [0]
+        while self._splits[-1] < room.shape[0]:
+            lo = self._splits[-1]
+            hi = np.searchsorted(ends, (ends[lo - 1] if lo else 0) + self.rows, side="right")
+            self._splits.append(max(int(hi), lo + 1))
+
+    def _grow(self, room, opened):
+        """Every prefix extended by one site: row-major nonzero lists each
+        prefix's admissible labels in ascending order, which keeps the rows
+        sorted."""
+        parent, label = np.nonzero((room > 0) & opened)
+        return parent, label, room[parent] - self._step[label], opened[parent] | self._opens[label]
+
+    def __iter__(self):
+        depth = self._prefix.shape[1]
+        for lo, hi in zip(self._splits[:-1], self._splits[1:]):
+            room, opened = self._room[lo:hi], self._opened[lo:hi]
+            tree = []
+            for _ in range(depth, self.N):
+                parent, label, room, opened = self._grow(room, opened)
+                tree.append((parent, label))
+            block = np.empty((room.shape[0], self.N), dtype=np.int64)
+            row = np.arange(room.shape[0])
+            for i in range(self.N - 1, depth - 1, -1):
+                parent, label = tree[i - depth]
+                block[:, i] = label[row]
+                row = parent[row]
+            block[:, :depth] = self._prefix[lo + row]
+            block += 1
+            yield block
+
+    def log_weights(self, labels):
+        """Each row's log orbit size (0 without orbits)."""
+        return self._log_w[labels.max(axis=1)]
+
+
+def enumerate_configs(N, kappa, counts=None):
+    """All label vectors in {1..kappa}^N, optionally with fixed state counts:
+    an (n_conf, N) array in lexicographic order, the concatenation of
+    ConfigBlocks."""
+    blocks = ConfigBlocks(N, kappa, counts)
+    configs = np.empty((blocks.size, N), dtype=np.int64)
+    lo = 0
+    for block in blocks:
+        configs[lo : lo + block.shape[0]] = block
+        lo += block.shape[0]
     return configs
 
 
+def _grid_levels(mats, n, n_mats):
+    """The n_mats (n, n) matrices side by side as G = levels[0] + levels[1] + ...,
+    each level (n, n_mats n).
+
+    A matrix's part in level l lies on a power-of-two grid q_l so coarse that
+    n^2 max|part| <= 2^53 q_l, and its remainder is below q_l / 2, so it
+    takes the next level (2 or 3 levels for Gaussian couplings; zeros for a
+    matrix that needs fewer).  x_k^T G_l x_k sums each entry at most once
+    over k, so every partial sum of it is an exact multiple of q_l: a draw's
+    energies do not depend on the order in which a BLAS kernel adds, which
+    differs with the shape of the product.  mats are consumed one at a time
+    and overwritten.
+    """
+    bits = (n * n - 1).bit_length()  # 2**bits >= n^2
+    levels = [np.zeros((n, n_mats * n))]
+    for d, rest in enumerate(mats):
+        cols = slice(d * n, (d + 1) * n)
+        top, level = max(rest.max(), -rest.min()), 0  # no |rest| temporary
+        while top > 0.0:
+            if level == len(levels):
+                levels.append(np.zeros((n, n_mats * n)))
+            q = max(ldexp(1.0, frexp(top)[1] + bits - 52), ldexp(1.0, -1074))
+            part = levels[level][:, cols]
+            np.divide(rest, q, out=part)
+            np.round(part, out=part)
+            np.multiply(part, q, out=part)
+            rest -= part
+            top, level = max(rest.max(), -rest.min()), level + 1
+    return levels
+
+
+def _block_energies(labels, levels, kappa):
+    """(rows, D) values sum_k x_k^T G x_k of the one-hot label rows x_k under
+    the D draws stacked in levels (_grid_levels of g / sqrt N): per level and
+    label one GEMM (rows, N) x (N, D N), whose per-draw slices are contracted
+    with x_k.  Each level's sum is exact, and the levels are added in order."""
+    rows, n = labels.shape
+    one_hot = [(labels == k).astype(float) for k in range(1, kappa + 1)]
+    total = None
+    for level in levels:
+        part = None
+        for x in one_hot:
+            term = np.matmul((x @ level).reshape(rows, -1, n), x[:, :, None])[..., 0]
+            part = term if part is None else np.add(part, term, out=part)
+        total = part if total is None else np.add(total, part, out=total)
+    return total
+
+
 def config_energies(configs, g):
-    """Hamiltonian values for a whole configuration set, chunked for memory
-    (one row per chunk if N^2 alone exceeds _CHUNK_CELLS)."""
+    """Hamiltonian values of a configuration array under the couplings g: the
+    one-draw case of the stacked block energies, ENUM_CELLS // N rows at a
+    time."""
     n_conf, n = configs.shape
-    flat = g.ravel() / np.sqrt(n)
+    levels = _grid_levels([np.asarray(g, dtype=float) / np.sqrt(n)], n, 1)
+    kappa = int(configs.max(initial=1))
+    rows = max(1, ENUM_CELLS // max(n, 1))
     out = np.empty(n_conf)
-    chunk = min(_ENUM_CHUNK, max(1, _CHUNK_CELLS // max(1, n * n)))
-    for lo in range(0, n_conf, chunk):
-        c = configs[lo : lo + chunk]
-        eq = (c[:, :, None] == c[:, None, :]).reshape(c.shape[0], -1)
-        out[lo : lo + chunk] = eq @ flat
+    for lo in range(0, n_conf, rows):
+        out[lo : lo + rows] = _block_energies(configs[lo : lo + rows], levels, kappa)[:, 0]
     return out
 
 
@@ -138,26 +279,67 @@ def mean_energy(g, kappa, counts=None):
     return (diag + same * (float(g.sum()) - diag)) / np.sqrt(n)
 
 
+def _log_partition(blocks, beta, seed, draws, counts):
+    """log sum over the rows of exp(beta (H - mean_energy) + log w) for each
+    of the draws, stacked in one group, folded block by block with a running
+    max and sum; also returns the number of rows."""
+    n, kappa = blocks.N, blocks.kappa
+    centre = np.empty(len(draws))
+
+    def scaled():
+        for j, i in enumerate(draws):
+            g = DisorderInstance(n, seed, draw=i).g
+            centre[j] = mean_energy(g, kappa, counts)
+            g = g / np.sqrt(n)  # the draw's own matrix is released here
+            yield g
+
+    levels = _grid_levels(scaled(), n, len(draws))
+    top = np.full(len(draws), -np.inf)
+    total = np.zeros(len(draws))
+    n_rows = 0
+    for labels in blocks:
+        a = beta * (_block_energies(labels, levels, kappa) - centre)
+        a += blocks.log_weights(labels)[:, None]
+        new_top = np.maximum(top, a.max(axis=0))
+        total = total * np.exp(top - new_top) + np.exp(a - new_top).sum(axis=0)
+        top = new_top
+        n_rows += labels.shape[0]
+    return top + np.log(total), n_rows
+
+
 def enumerate_free_energy(N, kappa, beta, n_disorder=200, seed=0, constraint=None, threads=1):
-    """Exact per-draw (1/N) log Z of the centred H - mean_energy, averaged."""
+    """Exact per-draw (1/N) log Z of the centred H - mean_energy, averaged.
+
+    Z sums over one row per label orbit (ConfigBlocks with orbits), each with
+    its orbit size as weight, since H depends only on which sites share a
+    label.  The draws are stacked in groups of ENUM_CELLS // N^2 (at least
+    one), and the blocks have ENUM_CELLS // (group N) rows, so memory is
+    bounded by the group, not by the class or the number of draws.  A draw's
+    energies are exact per grid level (_grid_levels), so they are the same
+    bits in any group; only the fold's last bits follow the block size.
+    ``threads`` is accepted and not read.  ``n_configurations`` is the class
+    size and ``n_orbits`` the rows summed.
+    """
+    if N < 1:
+        raise ValidationError("N must be at least 1")
     if n_disorder < 2:
         raise ValidationError("need at least 2 disorder draws")
     counts = constraint.counts(N) if constraint is not None else None
-    configs = enumerate_configs(N, kappa, counts)
-
-    def one(i):
-        g = DisorderInstance(N, seed, draw=i).g
-        h = config_energies(configs, g) - mean_energy(g, kappa, counts)
-        return float(logsumexp(beta * h) / N)
-
-    values = np.asarray(map_indexed(one, n_disorder, threads))
+    group = min(n_disorder, max(1, ENUM_CELLS // (N * N)))
+    blocks = ConfigBlocks(N, kappa, counts, rows=max(1, ENUM_CELLS // (group * N)), orbits=True)
+    log_z = np.empty(n_disorder)
+    for lo in range(0, n_disorder, group):
+        draws = range(lo, min(lo + group, n_disorder))
+        log_z[lo : lo + group], n_orbits = _log_partition(blocks, beta, seed, draws, counts)
+    values = log_z / N
     return EvalResult(
         float(values.mean()),
         jackknife_se(values),
         "enumeration",
         {
             "n_disorder": n_disorder,
-            "n_configurations": int(configs.shape[0]),
+            "n_configurations": blocks.size,
+            "n_orbits": n_orbits,
             "constrained": constraint is not None,
         },
     )

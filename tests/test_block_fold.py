@@ -21,6 +21,7 @@ from pottsglass import cascade
 from pottsglass.cascade import (
     CascadeSpec,
     _pd_weights,
+    level_factors,
     level_field_source,
     sample_cascade,
     sample_level_fields,
@@ -60,7 +61,7 @@ def reference_log_mean_exp(sample, terms):
 
 def reference_replicate(rng, spec, cov_inc, configs, lam_term, beta):
     sample = sample_cascade(spec, rng)
-    fields = sample_level_fields(sample, cov_inc, rng, n_copies=configs.shape[1])
+    fields = sample_level_fields(sample, level_factors(cov_inc), rng, n_copies=configs.shape[1])
     per_conf = reference_log_mean_exp(sample, [beta * config_field_sum(g, configs) for g in fields])
     return float(logsumexp(lam_term + per_conf) / configs.shape[1])
 
@@ -88,7 +89,7 @@ def test_replicate_is_bitwise_the_in_memory_fold(r, kappa, m, step, monkeypatch)
     set_step(monkeypatch, step, configs.shape[0], k)
     for i in range(2):
         blocked, whole = stream(51, 0xB10C, i), stream(51, 0xB10C, i)
-        value = _cascade_replicate(blocked, spec, cov_inc, configs, lam_term, 1.3)
+        value = _cascade_replicate(blocked, spec, level_factors(cov_inc), configs, lam_term, 1.3)
         assert value == reference_replicate(whole, spec, cov_inc, configs, lam_term, 1.3)
         assert rng_state(blocked) == rng_state(whole)
 
@@ -106,7 +107,7 @@ def test_scalar_y_path_is_bitwise_the_in_memory_fold(r, step, monkeypatch):
     for i in range(reps):
         rng = stream(8, 0x11D, k, i)
         sample = sample_cascade(spec, rng)
-        y = sample_level_fields(sample, var_inc, rng)
+        y = sample_level_fields(sample, level_factors(var_inc), rng)
         terms = [beta * np.sqrt(scale_n) * g[0, 0] for g in y]
         values.append(float(reference_log_mean_exp(sample, terms) / scale_n))
     est, _ = cascade._y_estimate(path, beta, scale_n, reps, k, 8, 1)
@@ -157,8 +158,8 @@ def test_field_blocks_equal_one_whole_draw(dim, m):
     sample = sample_cascade(CascadeSpec(LEVELS[2], atoms_per_level=k), seeded(55, 0))
     covs = covariances(seeded(55, 1), dim, 2)
     whole_rng, blocked_rng = seeded(55, 2, dim, m), seeded(55, 2, dim, m)
-    whole = sample_level_fields(sample, covs, whole_rng, n_copies=m)
-    upper, deepest = level_field_source(sample, covs, blocked_rng, n_copies=m)
+    whole = sample_level_fields(sample, level_factors(covs), whole_rng, n_copies=m)
+    upper, deepest = level_field_source(sample, level_factors(covs), blocked_rng, n_copies=m)
     assert np.array_equal(upper[0], whole[0])
     edges = [0, 1, 4, 11, 50, 123, 300, k]
     blocks = [deepest(lo, hi) for lo, hi in zip(edges, edges[1:])]

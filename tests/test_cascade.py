@@ -7,6 +7,7 @@ from pottsglass.cascade import (
     CascadeSpec,
     OverlapArray,
     coincidence_masses,
+    level_factors,
     sample_cascade,
     sample_level_fields,
     sample_overlap_array,
@@ -128,7 +129,7 @@ class TestLeafFields:
         s = sample_cascade(spec, seeded(6, 0))
         c1 = np.array([[0.5, 0.2], [0.2, 0.4]])
         c2 = np.array([[0.3, -0.1], [-0.1, 0.6]])
-        z = leaf_fields(sample_level_fields(s, [c1, c2], seeded(6, 1), n_copies=40_000), 2)
+        z = leaf_fields(sample_level_fields(s, level_factors([c1, c2]), seeded(6, 1), n_copies=40_000), 2)
         # leaves 0=(0,0), 1=(0,1): meet depth 1 -> covariance c1
         cov01 = np.einsum("ck,cl->kl", z[:, :, 0], z[:, :, 1]) / z.shape[0]
         np.testing.assert_allclose(cov01, c1, atol=0.03)
@@ -141,19 +142,19 @@ class TestLeafFields:
 
     def test_default_is_one_copy(self):
         s = sample_cascade(CascadeSpec((0.3, 0.6), atoms_per_level=3), seeded(6, 4))
-        fields = sample_level_fields(s, [np.eye(2), np.eye(2)], seeded(6, 5))
+        fields = sample_level_fields(s, level_factors([np.eye(2), np.eye(2)]), seeded(6, 5))
         assert [g.shape for g in fields] == [(1, 2, 3), (1, 2, 9)]
 
     def test_wrong_increment_count_raises(self):
         s = sample_cascade(CascadeSpec((0.5,), atoms_per_level=2), seeded(6, 2))
         with pytest.raises(ValidationError):
-            sample_level_fields(s, [np.eye(2), np.eye(2)], seeded(6, 3))
+            sample_level_fields(s, level_factors([np.eye(2), np.eye(2)]), seeded(6, 3))
 
     def test_scalar_fields_variance_structure(self):
         # a scalar field is the 1 x 1 case of the sampler
         spec = CascadeSpec((0.4,), atoms_per_level=3)
         s = sample_cascade(spec, seeded(7, 0))
-        (g,) = sample_level_fields(s, [[[0.8]]], seeded(7, 1), n_copies=20_000)
+        (g,) = sample_level_fields(s, level_factors([[[0.8]]]), seeded(7, 1), n_copies=20_000)
         draws = g[:, 0, :]
         var = draws.var(axis=0)
         np.testing.assert_allclose(var, 0.8, atol=0.04)
@@ -166,7 +167,7 @@ class TestLeafFields:
         spec = CascadeSpec((0.3, 0.6), atoms_per_level=4)
         s = sample_cascade(spec, seeded(7, 2))
         var = np.array([0.3, 0.45])
-        fields = sample_level_fields(s, var[:, None, None], seeded(7, 3))
+        fields = sample_level_fields(s, level_factors(var[:, None, None]), seeded(7, 3))
         rng = seeded(7, 3)
         for p, g in enumerate(fields):
             np.testing.assert_array_equal(

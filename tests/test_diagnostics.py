@@ -16,7 +16,7 @@ from pottsglass.model import (
     enumerate_free_energy,
     perturbation_covariance,
 )
-from pottsglass.util import ValidationError
+from pottsglass.util import ValidationError, stream
 
 
 def constant_arrays(n_arrays, n, block, diag_block, kappa=2):
@@ -71,6 +71,22 @@ class TestGGResidual:
         res_a = gg_residual(arrays, f, 2, UNIT_SPEC, n_boot=5, seed=0)
         res_b = gg_residual(swapped, f, 2, UNIT_SPEC, n_boot=5, seed=0)
         assert res_a["residual"] == pytest.approx(res_b["residual"], abs=1e-14)
+
+    def test_std_error_is_the_spread_of_the_signed_residual(self):
+        # the bootstrap residuals straddle zero here, so the spread of their
+        # absolute values is well below theirs and would bias the error low
+        arrays = _default_cascade_arrays(2, [0.3, 0.6], 40, 4, 60, seed=6)
+        f = lambda a: float(a.traces[0, 1])
+        q = lambda block: perturbation_covariance(UNIT_SPEC, block)
+        res = gg_residual(arrays, f, 2, UNIT_SPEC, n_boot=50, seed=2)
+        cols = np.array([[f(a), f(a) * q(a.blocks[0, 2]), q(a.blocks[0, 1]), f(a) * q(a.blocks[0, 1])]
+                         for a in arrays])
+        boot = []
+        for b in range(50):
+            m = cols[stream(2, 0xB007, b).integers(0, len(cols), size=len(cols))].mean(axis=0)
+            boot.append(m[1] - m[0] * m[2] / 2 - m[3] / 2)
+        assert res["std_error"] == pytest.approx(np.std(boot, ddof=1), rel=1e-12)
+        assert np.std(np.abs(boot), ddof=1) < 0.9 * res["std_error"]
 
     def test_needs_enough_replicas(self):
         arrays = constant_arrays(5, 3, np.diag([0.2, 0.2]), np.diag([0.5, 0.5]))

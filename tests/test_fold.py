@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 from conftest import random_path, rng_state, seeded
 from pottsglass import cascade
-from pottsglass.cascade import CascadeSpec, sample_cascade
+from pottsglass.cascade import CascadeSpec, level_factors, sample_cascade
 from pottsglass.core import MonotonePath, StateDistribution, psd_factor
 from pottsglass.diagnostics import interpolation_curve
 from pottsglass.functional import _cascade_replicate
@@ -75,7 +75,7 @@ def test_replicate_matches_leaf_arrays(x, kappa, m):
     lam_term = rng.uniform(-1.0, 1.0, size=configs.shape[0])
     for i in range(3):
         folded_rng, oracle_rng = stream(41, 0xF01D, i), stream(41, 0xF01D, i)
-        value = _cascade_replicate(folded_rng, spec, covs, configs, lam_term, 1.3)
+        value = _cascade_replicate(folded_rng, spec, level_factors(covs), configs, lam_term, 1.3)
         expected = oracle_replicate(oracle_rng, spec, covs, configs, lam_term, 1.3)
         assert np.isfinite(value)
         assert value == pytest.approx(expected, rel=1e-12)

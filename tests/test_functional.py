@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 
 from conftest import random_distribution, random_path, seeded
 from pottsglass import functional
-from pottsglass.cascade import CascadeSpec, sample_cascade, sample_level_fields
+from pottsglass.cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields
 from pottsglass.core import EvalResult, MonotonePath, StateDistribution, psd_factor
 from pottsglass.functional import (
     MAX_NODES_PER_DIM,
@@ -153,7 +153,7 @@ class TestEvalPhi:
         for i in range(3):
             draws = stream(5, 0xF1, 30, i)
             sample = sample_cascade(spec, draws)
-            fields = sample_level_fields(sample, p.increment_covariances(), draws)
+            fields = sample_level_fields(sample, level_factors(p.increment_covariances()), draws)
             # a leaf's field is the sum of its ancestors' node fields
             z = sum(np.repeat(g[0], 30 ** (1 - q), axis=-1) for q, g in enumerate(fields)).T
             per_leaf = logsumexp(0.8 * z + lam, axis=1)
