@@ -8,7 +8,10 @@ after it).  Each pair runs ``bench/run.py --trace 0`` once in each checkout,
 the first run of the pair alternating between the two, so a drift in machine
 speed falls on both sides.  The last JSON line of every run is kept as it is;
 the summary gives, per end-to-end metric, both medians, the quartile range
-of the ``before`` runs, their ratio and how many pairs ``after`` won.  Every
+of the ``before`` runs, their ratio and how many pairs ``after`` won.  Each
+run also keeps the seconds of every op from its ``op`` lines, one per pass,
+under ``op_seconds``; ``op_medians`` gives, per op, the median over all
+passes of each side and their ratio, which shows which op moved.  Every
 timed run lasts the ``run_seconds`` of BENCHMARK.json.  With
 ``--trace`` one ``--trace 1`` run per checkout adds the per-layer metrics.
 Results are keyed by workload and seed, and an existing output file gains or
@@ -26,13 +29,18 @@ SIDES = ("before", "after")
 
 
 def bench(checkout, workload, seed, seconds, trace):
-    """One bench/run.py call; returns (machine block, last-line JSON)."""
+    """One bench/run.py call; returns (machine block, last-line JSON with the
+    per-op seconds of its passes added as op_seconds)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     machine = next(json.loads(ln[len("machine "):]) for ln in lines if ln.startswith("machine "))
-    return machine, json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["op_seconds"] = {}
+    for op in (json.loads(ln[len("op "):]) for ln in lines if ln.startswith("op ")):
+        result["op_seconds"].setdefault(op["op"], []).append(op["s"])
+    return machine, result
 
 
 def quartiles(values):
@@ -58,6 +66,22 @@ def summarise(pairs, better):
             "before_iqr": q3 - q1,
             "after_wins": wins,
             "pairs": len(pairs),
+        }
+    return out
+
+
+def op_medians(pairs):
+    """Per op: the median seconds over every pass of each side, and after/before."""
+    out = {}
+    for name in pairs[0]["before"]["op_seconds"]:
+        med = {
+            s: statistics.median(t for p in pairs for t in p[s]["op_seconds"].get(name, []))
+            for s in SIDES
+        }
+        out[name] = {
+            "before_median_s": med["before"],
+            "after_median_s": med["after"],
+            "after_over_before": med["after"] / med["before"] if med["before"] else None,
         }
     return out
 
@@ -91,6 +115,7 @@ def main(argv=None):
         "seconds": seconds,
         "machine": machine,
         "summary": summarise(pairs, better),
+        "op_medians": op_medians(pairs),
         "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
         "runs": pairs,
     }
@@ -101,7 +126,7 @@ def main(argv=None):
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report[f"{args.workload}/seed-{args.seed}"] = entry
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(json.dumps(entry["summary"], indent=1))
+    print(json.dumps({"summary": entry["summary"], "op_medians": entry["op_medians"]}, indent=1))
     return 0
 
 

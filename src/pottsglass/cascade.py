@@ -8,7 +8,10 @@ instead would keep the log-moment recursion but break the joint overlap
 distribution, so the node totals must be carried through.  Averages over
 the leaves are folded up the tree from the atoms, with no K^r leaf array:
 the deepest level's fields are drawn and reduced in blocks of parents, so a
-replicate holds the K^r atoms and one block.
+replicate holds the K^r atoms and one block.  Leaves are drawn down the tree
+from the subtree masses.  Replicates smaller than a block are stacked on a
+leading replicate axis and share one fold pass; a replicate is the same bits
+alone or stacked.
 """
 
 import math
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OverlapArray, psd_factor
-from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
+from .util import BudgetError, ValidationError, jackknife_se, map_groups, stack_streams
 
 # rows x leaves of the deepest level folded per block; of 8k, 16k, 32k and 64k
 # cells, 32k gave the fastest Phi-MC replicates (see CHANGES.md)
@@ -53,7 +56,7 @@ class CascadeSpec:
         return len(self.x)
 
 
-def _pd_weights(rng, zeta, shape_rows, k):
+def _pd_weights(rng, zeta, shape_rows, k, out=None):
     """Rows of log atom weights log u_j = -(1/zeta) log Gamma_j, shifted by
     their largest entry.
 
@@ -62,80 +65,122 @@ def _pd_weights(rng, zeta, shape_rows, k):
     Logs keep small zeta usable: the atoms then span a huge dynamic range and
     the cascade correctly degenerates toward a single atom as zeta -> 0.  The
     one shift per level cancels in every normalized average.  Every step
-    runs in the buffer of the exponential draw.
+    runs in the buffer of the exponential draw, out if given.
     """
-    log_w = rng.standard_exponential(size=(shape_rows, k))
+    log_w = rng.standard_exponential(size=(shape_rows, k), out=out)
     np.cumsum(log_w, axis=1, out=log_w)
     np.log(log_w, out=log_w)
-    np.negative(log_w, out=log_w)
-    np.divide(log_w, zeta, out=log_w)
+    # x / -zeta is -x / zeta bit for bit: a quotient's sign is set apart
+    np.divide(log_w, -zeta, out=log_w)
     return np.subtract(log_w, log_w.max(), out=log_w)
 
 
-def _log_sum_children(t):
+def _take(ws):
+    """ws.take, or fresh arrays without a Workspace."""
+    return ws.take if ws is not None else lambda key, shape: np.empty(shape)
+
+
+def _log_sum_children(t, out):
     """Per parent, the log-sum-exp over its children on the last axis,
-    shifted by its own largest child."""
+    shifted by its own largest child; the shifted terms go to out, which
+    may be t itself."""
     top = t.max(axis=-1, keepdims=True)
-    shifted = t - top
+    shifted = np.subtract(t, top, out=out)
     return np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + top[..., 0]
 
 
-def _fold(log_atoms, *term_lists):
+def _rows_to(a, ndim, stack):
+    """a with singleton row axes after its `stack` leading replicate axes,
+    so that it has ndim axes and broadcasts against per-row arrays."""
+    return a.reshape(a.shape[:stack] + (1,) * (ndim - a.ndim) + a.shape[stack:])
+
+
+def _children(values, log_w, stack, out):
+    """values (..., n_parents * K) over the children of n_parents nodes, seen
+    as (..., n_parents, K), plus their (n_parents, K) log atoms, in out (which
+    may be values itself) or, if out is None, in a new array."""
+    v = values.reshape(values.shape[:-1] + log_w.shape[-2:])
+    w = _rows_to(log_w, v.ndim, stack) if stack else log_w
+    return np.add(v, w, out=v if out is values else out)
+
+
+def _fold(log_atoms, *term_lists, power=1.0, ws=None):
     """Bottom-up log sums, one list per term list: entry q is (..., K**q),
     per depth-q node the log of the sum over the leaves below it of the
-    atoms and exp(terms) beneath it.
+    atoms to the given power and exp(terms) beneath it.
 
-    terms[p] for p < r - 1 is None or (..., K**(p+1)) over the depth p+1
-    nodes, siblings contiguous.  The deepest level's terms[-1] is None, such
-    an array, or a block source: source(lo, hi) returns the (..., (hi-lo)*K)
-    terms of the children of depth r-1 parents lo..hi-1, and is called on
-    consecutive blocks from 0.  Each block adds its atoms and reduces every
-    parent before the next block is made, so no K**r array beyond the atoms
-    is held.  A block has at most FOLD_BLOCK_CELLS rows times leaves, the
-    rows read off the in-memory terms, and at least one parent.
+    log_atoms[p] is (K**p, K), or (R, K**p, K) for R stacked replicates;
+    the terms then lead with the same replicate axis, and the rows of the
+    terms follow it.  terms[p] for p < r - 1 is None or (..., K**(p+1)) over
+    the depth p+1 nodes, siblings contiguous.  The deepest level's terms[-1]
+    is None, such an array, or a block source: source(lo, hi) returns the
+    (..., (hi-lo)*K) terms of the children of depth r-1 parents lo..hi-1,
+    and is called on consecutive blocks from 0.  Each block adds its atoms
+    and reduces every parent before the next block is made, so no K**r
+    array beyond the atoms is held.  A block has at most FOLD_BLOCK_CELLS
+    replicates times rows times leaves, the rows read off the in-memory
+    terms, and at least one parent.  A source's block is used once, and the
+    fold sums into it; the other block sums run in the buffer "scratch" of a
+    Workspace ws if given.
     """
+    take = _take(ws)
     deepest = log_atoms[-1]
-    n_parents, k = deepest.shape
+    stack = deepest.ndim - 2
+    n_parents, k = deepest.shape[-2:]
     rows = max(
         (math.prod(t.shape[:-1]) for terms in term_lists for t in terms if isinstance(t, np.ndarray)),
-        default=1,
+        default=math.prod(deepest.shape[:-2]),
     )
     step = max(1, FOLD_BLOCK_CELLS // (rows * k))
     blocks = [[] for _ in term_lists]
     for lo in range(0, n_parents, step):
         hi = min(lo + step, n_parents)
-        log_w = deepest[lo:hi]
+        log_w = deepest[..., lo:hi, :]
+        if power != 1.0:
+            log_w = np.multiply(log_w, power, out=take("atoms_power", log_w.shape))
         for terms, done in zip(term_lists, blocks):
-            t, source = log_w, terms[-1]
-            if source is not None:
-                block = source(lo, hi) if callable(source) else source[..., lo * k : hi * k]
-                t = block.reshape(block.shape[:-1] + log_w.shape) + t
-            done.append(_log_sum_children(t))
+            source = terms[-1]
+            if source is None:
+                done.append(_log_sum_children(log_w, take("scratch", log_w.shape)))
+                continue
+            if callable(source):
+                block = source(lo, hi)
+                t = _children(block, log_w, stack, block)
+            else:
+                block = source[..., lo * k : hi * k]
+                scratch = take("scratch", block.shape[:-1] + log_w.shape[-2:])
+                t = _children(block, log_w, stack, scratch)
+            done.append(_log_sum_children(t, t))
     folds = []
     for terms, done in zip(term_lists, blocks):
         sums = [None] * (len(log_atoms) - 1) + [done[0] if len(done) == 1 else np.concatenate(done, axis=-1)]
         for p in range(len(log_atoms) - 2, -1, -1):
-            log_w = t = log_atoms[p]
-            t = sums[p + 1].reshape(sums[p + 1].shape[:-1] + log_w.shape) + t
+            log_w = log_atoms[p] if power == 1.0 else power * log_atoms[p]
+            t = _children(sums[p + 1], log_w, stack, None)
             if terms[p] is not None:
-                t = terms[p].reshape(terms[p].shape[:-1] + log_w.shape) + t
-            sums[p] = _log_sum_children(t)
+                own = terms[p].reshape(terms[p].shape[:-1] + log_w.shape[-2:])
+                ndim = max(own.ndim, t.ndim)
+                t = _rows_to(own, ndim, stack) + _rows_to(t, ndim, stack)
+            sums[p] = _log_sum_children(t, t)
         folds.append(sums)
     return folds
 
 
 @dataclass(frozen=True)
 class CascadeSample:
-    """A sampled truncated cascade: the per-level log atoms.
+    """A sampled truncated cascade, or a stack of them: the per-level log atoms.
 
     log_atoms[p] is the (K**p, K) array of log u over the children of the
-    depth-p nodes, shifted by the level's largest atom.
+    depth-p nodes, shifted by the level's largest atom; a stack of R
+    cascades has (R, K**p, K) arrays, replicate first.
     """
 
     spec: CascadeSpec
     log_atoms: tuple
-    # the atoms-only fold (entry q the (K**q,) log subtree masses), set by
-    # the first fold that needs it
+    # the Workspace whose buffers hold the atoms, and in which the folds run
+    ws: object = field(default=None, repr=False, compare=False)
+    # the atoms-only fold (entry q the (..., K**q) log subtree masses), set
+    # by the first fold that needs it
     _log_mass: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -150,6 +195,19 @@ class CascadeSample:
     def n_leaves(self):
         return self.k**self.r
 
+    @property
+    def stack(self):
+        """The number of leading replicate axes: 0, or 1 for a stack."""
+        return self.log_atoms[0].ndim - 2
+
+    def log_masses(self):
+        """The atoms-only fold: entry q is (..., K**q), the log subtree mass
+        of every depth-q node."""
+        if self._log_mass is None:
+            (mass,) = _fold(self.log_atoms, [None] * self.r, ws=self.ws)
+            object.__setattr__(self, "_log_mass", mass)
+        return self._log_mass
+
     def log_mean_exp(self, terms):
         """log sum_leaf v_leaf exp(sum_p terms[p] at the leaf's depth p+1 node)
         for the normalized leaf weights v, per leading index of the terms.
@@ -159,19 +217,40 @@ class CascadeSample:
         level.  The first call folds the normalization in the same loop.
         """
         if self._log_mass is None:
-            sums, mass = _fold(self.log_atoms, terms, [None] * self.r)
+            sums, mass = _fold(self.log_atoms, terms, [None] * self.r, ws=self.ws)
             object.__setattr__(self, "_log_mass", mass)
         else:
-            (sums,) = _fold(self.log_atoms, terms)
-        return sums[0][..., 0] - self._log_mass[0][0]
+            (sums,) = _fold(self.log_atoms, terms, ws=self.ws)
+        top = sums[0][..., 0]
+        return top - _rows_to(self._log_mass[0][..., 0], top.ndim, self.stack)
 
-    @property
-    def leaf_weights(self):
-        """The (K**r,) normalized leaf weights, built for drawing leaves."""
-        log_leaf = np.zeros(1)
-        for log_w in self.log_atoms:
-            log_leaf = (log_leaf[:, None] + log_w).reshape(-1)
-        return np.exp(log_leaf - logsumexp(log_leaf))
+    def draw_leaves(self, u):
+        """Leaves of an unstacked cascade by inverse CDF down the tree, one
+        per uniform in u.
+
+        At each depth a leaf's path picks the child whose cumulative
+        normalized subtree mass first exceeds u (searchsorted with
+        side="right", counted row by row), and u is rescaled into that
+        child's interval.  This is the leaf rng.choice(n_leaves, p=leaf
+        weights) returns for the same rng.random uniforms, up to rounding at
+        the interval ends, without the K**r weights or their cumsum.
+        """
+        mass = self.log_masses()
+        k = self.k
+        u = np.array(u, dtype=float)
+        rows = np.arange(u.size)
+        node = np.zeros(u.size, dtype=np.int64)
+        for p, log_w in enumerate(self.log_atoms):
+            t = log_w[node]
+            if p + 1 < self.r:
+                t = t + mass[p + 1].reshape(-1, k)[node]
+            cdf = np.cumsum(np.exp(t - mass[p][node][:, None]), axis=1)
+            cdf /= cdf[:, -1:]
+            child = np.minimum((cdf <= u[:, None]).sum(axis=1), k - 1)
+            below = np.where(child > 0, cdf[rows, child - 1], 0.0)
+            u = (u - below) / (cdf[rows, child] - below)
+            node = node * k + child
+        return node
 
     def leaf_digits(self, indices):
         """Base-K digit paths (depth-major) for flat leaf indices."""
@@ -186,32 +265,42 @@ class CascadeSample:
     def common_depth(self, indices):
         """Pairwise ancestor depth alpha ^ alpha' for an index vector."""
         digits = self.leaf_digits(indices)
-        n = digits.shape[0]
         same = digits[:, None, :] == digits[None, :, :]
         prefix = np.cumprod(same, axis=2)
         depth = prefix.sum(axis=2)
         return depth
 
     def pair_coincidence_masses(self):
-        """sum over pairs with meet depth p of v_a v_a', for p = 0..r: the
-        squared subtree masses at depth q fold the doubled atoms above q."""
-        if self._log_mass is None:
-            object.__setattr__(self, "_log_mass", _fold(self.log_atoms, [None] * self.r)[0])
-        log_mass = self._log_mass + [None]  # a leaf's is log 1
-        subtree_sq = [1.0]
+        """sum over pairs with meet depth p of v_a v_a', for p = 0..r (last
+        axis, after any replicate axis): the squared subtree masses at depth
+        q fold the doubled atoms above q."""
+        log_mass = self.log_masses() + [None]  # a leaf's is log 1
+        subtree_sq = [np.ones(self.log_atoms[0].shape[:-2])]
         for q in range(1, self.r + 1):
-            doubled = [2.0 * log_w for log_w in self.log_atoms[:q]]
             bottom = None if log_mass[q] is None else 2.0 * log_mass[q]
-            folded = _fold(doubled, [None] * (q - 1) + [bottom])[0][0][0]
-            subtree_sq.append(float(np.exp(folded - 2.0 * log_mass[0][0])))
-        a = np.asarray(subtree_sq)
-        return np.append(-np.diff(a), a[-1])
+            (sums,) = _fold(self.log_atoms[:q], [None] * (q - 1) + [bottom], power=2.0, ws=self.ws)
+            folded = sums[0][..., 0]
+            subtree_sq.append(np.exp(folded - 2.0 * log_mass[0][..., 0]))
+        a = np.stack(subtree_sq, axis=-1)
+        return np.concatenate([-np.diff(a, axis=-1), a[..., -1:]], axis=-1)
 
 
-def sample_cascade(spec, rng):
-    """One truncated cascade drawn from the Generator rng: all levels' atoms."""
+def sample_cascade(spec, rng, ws=None):
+    """Truncated cascades drawn level by level: all levels' atoms.
+
+    rng is one Generator, or a sequence of them for a stack with a leading
+    replicate axis, replicate j drawn from rng[j] as it would be alone.  With
+    a Workspace ws the atoms are drawn into its buffers.
+    """
     k = spec.atoms_per_level
-    return CascadeSample(spec, tuple(_pd_weights(rng, x, k**p, k) for p, x in enumerate(spec.x)))
+    single = isinstance(rng, np.random.Generator)
+    rngs = (rng,) if single else tuple(rng)
+    take = _take(ws)
+    levels = tuple(take(("atoms", p), (len(rngs), k**p, k)) for p in range(spec.r))
+    for j, g in enumerate(rngs):
+        for p, x in enumerate(spec.x):
+            _pd_weights(g, x, k**p, k, out=levels[p][j])
+    return CascadeSample(spec, tuple(level[0] for level in levels) if single else levels, ws)
 
 
 def level_factors(cov_increments):
@@ -221,7 +310,7 @@ def level_factors(cov_increments):
     return [psd_factor(np.asarray(cov, dtype=float))[1] for cov in cov_increments]
 
 
-def level_field_source(sample, factors, rng, n_copies=1):
+def level_field_source(sample, factors, rng, n_copies=1, ws=None, key="fields"):
     """Independent Gaussian node fields: the upper levels' drawn now, and a
     block source for the deepest level's.
 
@@ -233,37 +322,60 @@ def level_field_source(sample, factors, rng, n_copies=1):
     deepest(lo, hi) draws the fields of the children of depth r-1 parents
     lo..hi-1; called on consecutive blocks from 0, it continues the stream
     of rng, so its blocks equal one draw of the whole level.
+
+    For a stacked sample rng holds one Generator per replicate and the
+    fields lead with the replicate axis; each replicate's `factor @ z` is
+    its own product, written over its draw.  With a Workspace ws the fields
+    are drawn into its buffers under `key`, each deepest block reuses the
+    last one's, and the transposed draw uses its buffer "scratch".
     """
     if len(factors) != sample.r:
         raise ValidationError("need one covariance increment per level")
+    stacked = sample.stack
+    rngs = tuple(rng) if stacked else (rng,)
+    take = _take(ws)
 
-    def draw(factor, n_nodes):
-        z = rng.standard_normal((n_nodes, n_copies, factor.shape[0]))
+    def draw(p, n_nodes, name):
+        factor = factors[p]
+        dim = factor.shape[0]
+        out = take((key, name), (len(rngs), n_copies, dim, n_nodes))
         # one contiguous (dim, n_nodes) operand per copy keeps the child axis last
-        return factor @ np.ascontiguousarray(z.transpose(1, 2, 0))
+        zt = take("scratch", (n_copies, dim, n_nodes))
+        for j, g in enumerate(rngs):
+            z = g.standard_normal(out=out[j].reshape(n_nodes, n_copies, dim))
+            np.copyto(zt, z.transpose(1, 2, 0))
+            np.matmul(factor, zt, out=out[j])
+        return out if stacked else out[0]
 
-    upper = tuple(draw(f, sample.k ** (p + 1)) for p, f in enumerate(factors[:-1]))
-    return upper, lambda lo, hi: draw(factors[-1], (hi - lo) * sample.k)
+    upper = tuple(draw(p, sample.k ** (p + 1), p) for p in range(sample.r - 1))
+    return upper, lambda lo, hi: draw(sample.r - 1, (hi - lo) * sample.k, "deepest")
 
 
-def sample_level_fields(sample, factors, rng, n_copies=1):
+def sample_level_fields(sample, factors, rng, n_copies=1, ws=None, key="fields"):
     """Every level's node fields in memory, as level_field_source draws them."""
-    upper, deepest = level_field_source(sample, factors, rng, n_copies)
+    upper, deepest = level_field_source(sample, factors, rng, n_copies, ws, key)
     return upper + (deepest(0, sample.k ** (sample.r - 1)),)
+
+
+def stack_size(cells):
+    """Replicates of `cells` rows times leaves stacked in one fold pass: as
+    many as a fold block holds, at least one."""
+    return max(1, FOLD_BLOCK_CELLS // cells)
 
 
 def sample_overlap_array(sample, q, phi, n, rng):
     """Ultrametric overlap array from n i.i.d. leaves of the cascade.
 
     q maps meet depth to trace (q_0 = 0 < ... < q_r); phi maps trace to the
-    overlap block.  The leaves are drawn from the Generator rng.
+    overlap block.  The leaves are drawn from the Generator rng, by inverse
+    CDF down the tree from its uniforms.
     """
     if n < 2:
         raise ValidationError("need at least 2 replicas")
     q = np.asarray(q, dtype=float)
     if q.size != sample.r + 1 or np.any(np.diff(q) < 0):
         raise ValidationError("q must be nondecreasing with one value per depth 0..r")
-    leaves = rng.choice(sample.n_leaves, size=n, p=sample.leaf_weights)
+    leaves = sample.draw_leaves(rng.random(n))
     depth = sample.common_depth(leaves)
     traces = q[depth]
     kappa = np.asarray(phi(q[-1])).shape[0]
@@ -278,14 +390,19 @@ def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
     factors = level_factors(path.hs_increments()[:, None, None])
     scale = beta * np.sqrt(scale_n)
 
-    def one(i):
-        rng = stream(seed, 0x11D, k, i)
-        sample = sample_cascade(spec, rng)
-        upper, deepest = level_field_source(sample, factors, rng)
-        terms = [scale * g[0, 0] for g in upper] + [lambda lo, hi: scale * deepest(lo, hi)[0, 0]]
-        return float(sample.log_mean_exp(terms) / scale_n)
+    def run(indices, ws):
+        rng = stack_streams(indices, seed, 0x11D, k)
+        sample = sample_cascade(spec, rng, ws)
+        upper, deepest = level_field_source(sample, factors, rng, ws=ws)
 
-    values = np.asarray(map_indexed(one, reps, threads))
+        def deepest_terms(lo, hi):
+            g = deepest(lo, hi)[..., 0, 0, :]
+            return np.multiply(g, scale, out=g)  # a block's fields are used once
+
+        terms = [scale * g[..., 0, 0, :] for g in upper] + [deepest_terms]
+        return np.atleast_1d(sample.log_mean_exp(terms) / scale_n)
+
+    values = np.asarray(map_groups(run, reps, threads, stack_size(spec.atoms_per_level**spec.r)))
     return float(values.mean()), jackknife_se(values)
 
 
@@ -325,9 +442,10 @@ def coincidence_masses(spec, n_samples, seed=0, threads=1):
     """
     if n_samples < 2:
         raise ValidationError("need at least 2 cascade samples")
-    masses = map_indexed(
-        lambda i: sample_cascade(spec, stream(seed, 0xC01, i)).pair_coincidence_masses(),
-        n_samples, threads,
+    masses = map_groups(
+        lambda indices, ws: sample_cascade(spec, stack_streams(indices, seed, 0xC01), ws)
+        .pair_coincidence_masses().reshape(len(indices), -1),
+        n_samples, threads, stack_size(spec.atoms_per_level**spec.r),
     )
     mean = sum(masses) / n_samples
     var = (sum(m**2 for m in masses) / n_samples - mean**2) * n_samples / (n_samples - 1)

@@ -27,7 +27,7 @@ from .diagnostics import (
 from .functional import QuadratureSpec, eval_lower_bound, eval_parisi
 from .model import PerturbationSpec, ass_covariance_check, enumerate_free_energy, mcmc_free_energy
 from .optimize import outer_maximize
-from .util import BudgetError, ValidationError, map_indexed, stream
+from .util import BudgetError, ValidationError, map_groups, stream
 
 
 class Param(NamedTuple):
@@ -299,12 +299,15 @@ def _default_cascade_arrays(kappa, x_levels, n_arrays, n_replicas, atoms, seed, 
     def phi(t):
         return path.gammas[int(np.argmin(np.abs(q - t)))]
 
-    def one(i):
-        rng = stream(seed, 0xA44, i)
-        sample = sample_cascade(spec, rng)
-        return sample_overlap_array(sample, q, phi, n_replicas, rng)
+    def run(indices, ws):
+        arrays = []
+        for i in indices:
+            rng = stream(seed, 0xA44, i)
+            sample = sample_cascade(spec, rng, ws)
+            arrays.append(sample_overlap_array(sample, q, phi, n_replicas, rng))
+        return arrays
 
-    return map_indexed(one, n_arrays, threads)
+    return map_groups(run, n_arrays, threads)
 
 
 @_command(

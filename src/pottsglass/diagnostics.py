@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields
+from .cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields, stack_size
 from .core import OverlapArray, psd_factor, round_distribution
 from .functional import config_field_sum, eval_f1_restricted, eval_phi
 from .model import (
@@ -17,7 +17,7 @@ from .model import (
     perturbation_covariance,
     quadratic_forms,
 )
-from .util import ValidationError, jackknife_se, logsumexp, map_indexed, stream
+from .util import ValidationError, jackknife_se, logsumexp, map_groups, map_indexed, stack_streams, stream
 
 
 def _gg_samples(array_samples, f, n, q_fn):
@@ -161,27 +161,31 @@ def interpolation_curve(
     y_factors = level_factors(path.hs_increments()[:, None, None])
     sqrt_n = np.sqrt(N)
 
-    def one(i):
-        g = DisorderInstance(N, seed, draw=i)
-        rng = stream(seed, 0x17E, i)
-        sample = sample_cascade(spec, rng)
-        z = sample_level_fields(sample, z_factors, rng, n_copies=N)
-        y = [level[0, 0] for level in sample_level_fields(sample, y_factors, rng)]
-        h = config_energies(configs, g.g) - mean_energy(g.g, kappa, counts)
+    def run(indices, ws):
+        rng = stack_streams(indices, seed, 0x17E)
+        sample = sample_cascade(spec, rng, ws)
+        z = sample_level_fields(sample, z_factors, rng, n_copies=N, ws=ws, key="z")
+        y = sample_level_fields(sample, y_factors, rng, ws=ws, key="y")
+        y = [level[..., 0, 0, :] for level in y]
+        g = [DisorderInstance(N, seed, draw=i).g for i in indices]
+        h = np.array([config_energies(configs, gi) - mean_energy(gi, kappa, counts) for gi in g])
         zterms = [config_field_sum(level, configs - 1) for level in z]
-        out = np.empty(t_grid.size + 1)
+        out = np.empty((len(indices), t_grid.size + 1))
         for j, t in enumerate(t_grid):
             a, b = np.sqrt(1.0 - t), np.sqrt(t) * sqrt_n
-            terms = [beta * (a * zt + b * yt) for zt, yt in zip(zterms[:-1], y[:-1])]
-            zt, yt = zterms[-1], y[-1]
-            terms.append(lambda lo, hi: beta * (a * zt[:, lo * k : hi * k] + b * yt[lo * k : hi * k]))
-            out[j] = logsumexp(beta * np.sqrt(t) * h + sample.log_mean_exp(terms)) / N
+            terms = [beta * (a * zt + b * yt[..., None, :]) for zt, yt in zip(zterms[:-1], y[:-1])]
+            zt, yt = zterms[-1], y[-1][..., None, :]
+            terms.append(
+                lambda lo, hi: beta * (a * zt[..., lo * k : hi * k] + b * yt[..., lo * k : hi * k])
+            )
+            out[:, j] = logsumexp(beta * np.sqrt(t) * h + sample.log_mean_exp(terms), axis=-1) / N
         # the cascade-only endpoint term, from the same sample so its
         # truncation bias cancels in the t=1 decomposition
-        out[-1] = sample.log_mean_exp([beta * sqrt_n * yt for yt in y]) / N
+        out[:, -1] = sample.log_mean_exp([beta * sqrt_n * yt for yt in y]) / N
         return out
 
-    table = np.asarray(map_indexed(one, reps, threads))
+    cells = configs.shape[0] * k**spec.r
+    table = np.asarray(map_groups(run, reps, threads, stack_size(cells)))
     vals = table[:, :-1]
     y_only = table[:, -1]
     estimates = vals.mean(axis=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, level_factors, level_field_source, sample_cascade
+from .cascade import CascadeSpec, level_factors, level_field_source, sample_cascade, stack_size
 from .core import (
     EvalResult,
     as_multipliers,
@@ -25,7 +25,7 @@ from .core import (
     psd_factor,
 )
 from .model import enumerate_configs
-from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_indexed, stream
+from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_groups, stack_streams
 
 FORM_AGREEMENT_TOL = 1e-10
 RANK_TOL = 1e-9  # increment eigenvalues at or below this get no quadrature axis
@@ -249,28 +249,39 @@ def eval_f2(path, beta):
     return float(_f2_rows(path.d.d, path.xs, path.gammas, beta))
 
 
-def config_field_sum(fields, configs):
+def config_field_sum(fields, configs, out=None):
     """Sum of one level's per-site node fields along each configuration.
 
-    fields: (M, kappa, n_nodes); configs: (n_conf, M) 0-based labels.
-    Returns (n_conf, n_nodes).
+    fields: (..., M, kappa, n_nodes), any leading replicate axes first;
+    configs: (n_conf, M) 0-based labels.  Returns (..., n_conf, n_nodes) in
+    C order, so a reduction over its last axis adds each row as it would
+    add that row alone (fancy indexing may lay the replicate axis fastest);
+    in out if given.
     """
-    acc = fields[0][configs[:, 0]]
+    # the labels are in range; the default mode="raise" copies through a buffer into out
+    acc = fields[..., 0, :, :].take(configs[:, 0], axis=-2, out=out, mode="clip")
     for i in range(1, configs.shape[1]):
-        acc += fields[i][configs[:, i]]
+        acc += fields[..., i, :, :].take(configs[:, i], axis=-2)
     return acc
 
 
-def _cascade_replicate(rng, spec, factors, configs, lam_term, beta):
-    """One cascade draw's (1/M) log sum_alpha v_alpha sum_sigma exp(...): the
-    atoms and then every level's fields from rng, folded down the tree with
-    the deepest level drawn block by block."""
-    sample = sample_cascade(spec, rng)
-    upper, deepest = level_field_source(sample, factors, rng, n_copies=configs.shape[1])
-    terms = [beta * config_field_sum(g, configs) for g in upper]
-    terms.append(lambda lo, hi: beta * config_field_sum(deepest(lo, hi), configs))
+def _cascade_stack(rng, spec, factors, configs, lam_term, beta, ws=None):
+    """Each replicate's (1/M) log sum_alpha v_alpha sum_sigma exp(...) for a
+    stack of cascade draws (rng a list of Generators) or one (a Generator):
+    replicate j's atoms and then every level's fields from rng[j], folded
+    down the tree together, with the deepest level drawn block by block."""
+    sample = sample_cascade(spec, rng, ws)
+    upper, deepest = level_field_source(sample, factors, rng, n_copies=configs.shape[1], ws=ws)
+
+    def deepest_terms(lo, hi):
+        g = deepest(lo, hi)
+        shape = g.shape[:-3] + (configs.shape[0], g.shape[-1])
+        acc = config_field_sum(g, configs, None if ws is None else ws.take("scratch", shape))
+        return np.multiply(acc, beta, out=acc)
+
+    terms = [beta * config_field_sum(g, configs) for g in upper] + [deepest_terms]
     per_conf = sample.log_mean_exp(terms)
-    return float(logsumexp(lam_term + per_conf) / configs.shape[1])
+    return np.atleast_1d(logsumexp(lam_term + per_conf, axis=-1) / configs.shape[1])
 
 
 def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, threads, diagnostics):
@@ -278,7 +289,8 @@ def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, thre
     (1/M) log sum_alpha v_alpha sum_sigma exp(sum_i beta z_{i,sigma_i}(alpha) + lambda_{sigma_i})
     over the rows sigma of configs, an (n_conf, M) array of 0-based labels.
 
-    Replicate i draws its cascade and fields from stream(seed, tag, K, i).
+    Replicate i draws its cascade and fields from stream(seed, tag, K, i);
+    replicates small enough share one fold pass in a stack.
     """
     if reps < 2:
         raise ValidationError("need at least 2 replicates")
@@ -287,11 +299,12 @@ def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, thre
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
     factors = level_factors(path.increment_covariances())
 
-    def one(i):
-        rng = stream(seed, tag, atoms_per_level, i)
-        return _cascade_replicate(rng, spec, factors, configs, lam_term, beta)
+    def run(indices, ws):
+        rng = stack_streams(indices, seed, tag, atoms_per_level)
+        return _cascade_stack(rng, spec, factors, configs, lam_term, beta, ws)
 
-    values = np.asarray(map_indexed(one, reps, threads))
+    cells = configs.shape[0] * atoms_per_level**spec.r
+    values = np.asarray(map_groups(run, reps, threads, stack_size(cells)))
     diagnostics = {"reps": reps, "atoms_per_level": atoms_per_level, **diagnostics}
     return EvalResult(float(values.mean()), jackknife_se(values), "cascade-mc", diagnostics)
 

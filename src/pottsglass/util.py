@@ -1,7 +1,9 @@
-"""Shared helpers: counter-based random streams, replicate mapping, jackknife,
-log-sum-exp."""
+"""Shared helpers: counter-based random streams, replicate groups and their
+reused buffers, jackknife, log-sum-exp."""
 
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,18 +27,81 @@ def stream(master_seed, *key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def stack_streams(indices, master_seed, *key):
+    """The streams stream(master_seed, *key, i) of a stack of replicate
+    indices: a list, or for a stack of one its lone Generator, so that a
+    replicate alone runs unstacked, with no replicate axis."""
+    rngs = [stream(master_seed, *key, i) for i in indices]
+    return rngs[0] if len(rngs) == 1 else rngs
+
+
 def map_indexed(fn, n, threads=1):
     """Apply fn(i) for i in range(n), results in index order.
 
     With threads > 1 tasks run on a thread pool of at most one worker per
-    task and per core; callers key their RNG by the index, so the output is
-    identical for any thread count.
+    task and per core.  The replicate averages hand it one task per
+    replicate group (see map_groups), not one per replicate; they key their
+    RNG by the replicate index, so the output is identical for any thread
+    count.
     """
     workers = min(threads, n, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, range(n)))
+
+
+class Workspace:
+    """Scratch arrays that a replicate group allocates once and reuses through
+    out=: take(key, shape) views the key's buffer, which is reallocated only
+    when it must grow, so a view is valid until the key is taken again.  The
+    key "scratch" holds temporaries that are dead when the taking call
+    returns; sharing one buffer keeps a group's working set small."""
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}  # (key, shape) -> the view take returns, until key grows
+
+    def take(self, key, shape):
+        view = self._views.get((key, shape))
+        if view is not None:
+            return view
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+            self._views = {k: v for k, v in self._views.items() if k[0] != key}
+        view = self._views[key, shape] = buf[:size].reshape(shape)
+        return view
+
+
+def map_groups(fn, n, threads=1, stack=1):
+    """Values of replicates 0..n-1 in index order, from fn(indices, ws) over
+    stacks of at most `stack` consecutive indices.
+
+    The replicates are cut into contiguous groups, one per pool task, four
+    per worker that map_indexed starts, so a worker that finishes early
+    takes another group.  Replicates small enough to stack (stack > 1) run
+    in one group on the calling thread: their numpy calls are too short to
+    release the GIL for long, and two threads ran them slower than one.  A
+    group cuts itself into stacks of equal size, and each worker thread runs
+    its stacks with one Workspace ws.  fn returns one value per index, each
+    as it would be alone, so the output does not depend on the thread count.
+    """
+    workers = min(threads, n, os.cpu_count() or 1) if stack == 1 else 1
+    n_groups = min(n, 4 * workers) if workers > 1 else 1
+    edges = [n * g // n_groups for g in range(n_groups + 1)]
+    local = threading.local()
+
+    def group(g):
+        if not hasattr(local, "ws"):
+            local.ws = Workspace()
+        lo, hi = edges[g], edges[g + 1]
+        n_stacks = -(-(hi - lo) // stack)
+        cuts = [lo + (hi - lo) * s // max(n_stacks, 1) for s in range(n_stacks + 1)]
+        return [v for a, b in zip(cuts, cuts[1:]) for v in fn(range(a, b), local.ws)]
+
+    return [v for part in map_indexed(group, n_groups, threads) for v in part]
 
 
 def jackknife_se(values):

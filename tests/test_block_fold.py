@@ -29,7 +29,7 @@ from pottsglass.cascade import (
 from pottsglass.cli import main
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.diagnostics import interpolation_curve
-from pottsglass.functional import _cascade_replicate, config_field_sum, eval_phi_cascade_mc
+from pottsglass.functional import _cascade_stack, config_field_sum, eval_phi_cascade_mc
 from pottsglass.util import BudgetError, logsumexp, stream
 
 LEVELS = {1: (0.4,), 2: (0.3, 0.7), 3: (0.2, 0.5, 0.8)}
@@ -89,7 +89,7 @@ def test_replicate_is_bitwise_the_in_memory_fold(r, kappa, m, step, monkeypatch)
     set_step(monkeypatch, step, configs.shape[0], k)
     for i in range(2):
         blocked, whole = stream(51, 0xB10C, i), stream(51, 0xB10C, i)
-        value = _cascade_replicate(blocked, spec, level_factors(cov_inc), configs, lam_term, 1.3)
+        value = _cascade_stack(blocked, spec, level_factors(cov_inc), configs, lam_term, 1.3)[0]
         assert value == reference_replicate(whole, spec, cov_inc, configs, lam_term, 1.3)
         assert rng_state(blocked) == rng_state(whole)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded
+from test_fold import oracle_log_leaf_weights
 from pottsglass.cascade import (
     CascadeSample,
     CascadeSpec,
@@ -42,8 +43,9 @@ class TestSampleCascade:
         spec = CascadeSpec((0.3, 0.6), atoms_per_level=5)
         s = sample_cascade(spec, seeded(1, 0))
         assert s.n_leaves == 25
-        assert s.leaf_weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.min(s.leaf_weights) >= 0.0
+        w = np.exp(oracle_log_leaf_weights(spec, seeded(1, 0)))
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.min(w) >= 0.0
         assert s.log_atoms[0].shape == (1, 5)
         assert s.log_atoms[1].shape == (5, 5)
         # each level is shifted by its largest atom
@@ -60,14 +62,18 @@ class TestSampleCascade:
         spec = CascadeSpec((0.4,), atoms_per_level=8)
         a = sample_cascade(spec, seeded(7, 0))
         b = sample_cascade(spec, seeded(7, 0))
-        np.testing.assert_array_equal(a.leaf_weights, b.leaf_weights)
+        for la, lb in zip(a.log_atoms, b.log_atoms):
+            np.testing.assert_array_equal(la, lb)
 
     def test_leaf_weights_are_the_atom_products(self):
         spec = CascadeSpec((0.3, 0.6), atoms_per_level=4)
         s = sample_cascade(spec, seeded(1, 1))
         u = [np.exp(level) for level in s.log_atoms]
         products = (u[0].reshape(-1, 1) * u[1]).reshape(-1)
-        np.testing.assert_allclose(s.leaf_weights, products / products.sum(), rtol=1e-13)
+        w = np.exp(oracle_log_leaf_weights(spec, seeded(1, 1)))
+        np.testing.assert_allclose(w, products / products.sum(), rtol=1e-13)
+        # the atoms-only fold is the log of the same normalization
+        assert s.log_masses()[0][0] == pytest.approx(np.log(products.sum()), rel=1e-13)
 
 
 class TestLeafStructure:
@@ -98,7 +104,7 @@ class TestLeafStructure:
     def test_pair_coincidence_masses_one_level_oracle(self):
         spec = CascadeSpec((0.5,), atoms_per_level=30)
         s = sample_cascade(spec, seeded(5, 0))
-        w = s.leaf_weights
+        w = np.exp(oracle_log_leaf_weights(spec, seeded(5, 0)))
         masses = s.pair_coincidence_masses()
         assert masses[1] == pytest.approx(float(np.sum(w**2)), abs=1e-12)
         assert masses[0] == pytest.approx(1.0 - float(np.sum(w**2)), abs=1e-12)

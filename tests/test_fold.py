@@ -18,7 +18,7 @@ from pottsglass import cascade
 from pottsglass.cascade import CascadeSpec, level_factors, sample_cascade
 from pottsglass.core import MonotonePath, StateDistribution, psd_factor
 from pottsglass.diagnostics import interpolation_curve
-from pottsglass.functional import _cascade_replicate
+from pottsglass.functional import _cascade_stack
 from pottsglass.model import DisorderInstance, config_energies, enumerate_configs, mean_energy
 from pottsglass.util import jackknife_se, stream
 
@@ -75,7 +75,7 @@ def test_replicate_matches_leaf_arrays(x, kappa, m):
     lam_term = rng.uniform(-1.0, 1.0, size=configs.shape[0])
     for i in range(3):
         folded_rng, oracle_rng = stream(41, 0xF01D, i), stream(41, 0xF01D, i)
-        value = _cascade_replicate(folded_rng, spec, level_factors(covs), configs, lam_term, 1.3)
+        value = _cascade_stack(folded_rng, spec, level_factors(covs), configs, lam_term, 1.3)[0]
         expected = oracle_replicate(oracle_rng, spec, covs, configs, lam_term, 1.3)
         assert np.isfinite(value)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -86,12 +86,13 @@ def test_replicate_matches_leaf_arrays(x, kappa, m):
 def test_log_mean_exp_matches_leaf_arrays(x):
     # arbitrary per-level terms with two leading rows, against the leaf sums
     k, r = 5, len(x)
+    spec = CascadeSpec(x, atoms_per_level=k)
     rng = seeded(42, r, int(100 * x[0]))
-    sample = sample_cascade(CascadeSpec(x, atoms_per_level=k), rng)
+    sample = sample_cascade(spec, rng)
     terms = [rng.normal(0.0, 3.0, size=(2, k ** (p + 1))) for p in range(r)]
     leaf_terms = sum(np.repeat(t, k ** (r - 1 - p), axis=1) for p, t in enumerate(terms))
-    with np.errstate(divide="ignore"):
-        expected = logsumexp(np.log(sample.leaf_weights) + leaf_terms, axis=1)
+    log_v = oracle_log_leaf_weights(spec, seeded(42, r, int(100 * x[0])))
+    expected = logsumexp(log_v + leaf_terms, axis=1)
     got = sample.log_mean_exp(terms)
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
@@ -100,8 +101,9 @@ def test_log_mean_exp_matches_leaf_arrays(x):
 @pytest.mark.parametrize("x", [x for r in (1, 2, 3) for x in LEVELS[r]])
 def test_coincidence_masses_match_leaf_weights(x):
     k, r = 6, len(x)
-    sample = sample_cascade(CascadeSpec(x, atoms_per_level=k), seeded(43, r, int(100 * x[0])))
-    w = sample.leaf_weights
+    spec = CascadeSpec(x, atoms_per_level=k)
+    sample = sample_cascade(spec, seeded(43, r, int(100 * x[0])))
+    w = np.exp(oracle_log_leaf_weights(spec, seeded(43, r, int(100 * x[0]))))
     subtree_sq = [float(np.sum(w.reshape(k**p, -1).sum(axis=1) ** 2)) for p in range(r + 1)]
     expected = np.append(-np.diff(subtree_sq), subtree_sq[-1])
     masses = sample.pair_coincidence_masses()

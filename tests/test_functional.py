@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import random_distribution, random_path, seeded
+from test_fold import oracle_log_leaf_weights
 from pottsglass import functional
 from pottsglass.cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields
 from pottsglass.core import EvalResult, MonotonePath, StateDistribution, psd_factor
@@ -157,7 +158,8 @@ class TestEvalPhi:
             # a leaf's field is the sum of its ancestors' node fields
             z = sum(np.repeat(g[0], 30 ** (1 - q), axis=-1) for q, g in enumerate(fields)).T
             per_leaf = logsumexp(0.8 * z + lam, axis=1)
-            values.append(logsumexp(np.log(sample.leaf_weights) + per_leaf))
+            log_v = oracle_log_leaf_weights(spec, stream(5, 0xF1, 30, i))
+            values.append(logsumexp(log_v + per_leaf))
         assert res.value == pytest.approx(np.mean(values), rel=1e-12)
         assert res.diagnostics["leaves"] == 900
 

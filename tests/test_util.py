@@ -80,3 +80,49 @@ class TestMapIndexed:
         monkeypatch.setattr(util.os, "cpu_count", lambda: cores)
         assert map_indexed(lambda i: i * i, n, threads) == [i * i for i in range(n)]
         assert sizes == ([] if pool is None else [pool])
+
+
+class TestMapGroups:
+    @pytest.mark.parametrize("n,threads,stack", [(0, 2, 1), (1, 2, 1), (9, 1, 4), (9, 2, 1), (10, 2, 3), (3, 8, 1)])
+    def test_values_in_index_order_from_stacks_within_the_cap(self, n, threads, stack):
+        stacks = []
+
+        def fn(indices, ws):
+            stacks.append(list(indices))
+            return [10 * i for i in indices]
+
+        assert util.map_groups(fn, n, threads, stack) == [10 * i for i in range(n)]
+        assert sorted(i for s in stacks for i in s) == list(range(n))
+        assert all(0 < len(s) <= stack and s == list(range(s[0], s[0] + len(s))) for s in stacks)
+
+    def test_stacked_replicates_stay_on_the_calling_thread(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(util, "ThreadPoolExecutor", recording_pool(sizes))
+        monkeypatch.setattr(util.os, "cpu_count", lambda: 4)
+        util.map_groups(lambda indices, ws: list(indices), 100, 4, stack=5)
+        assert sizes == []
+        util.map_groups(lambda indices, ws: list(indices), 100, 4)
+        assert sizes == [4]
+
+    def test_a_thread_reuses_its_workspace(self):
+        seen = []
+
+        def fn(indices, ws):
+            seen.append((ws, ws.take("a", (len(indices), 3)).__array_interface__["data"][0]))
+            return list(indices)
+
+        util.map_groups(fn, 12, 1, stack=4)
+        assert len({id(ws) for ws, _ in seen}) == 1
+        assert len({address for _, address in seen}) == 1
+
+
+class TestWorkspace:
+    def test_a_key_grows_and_keeps_its_buffer(self):
+        ws = util.Workspace()
+        a = ws.take("k", (2, 3))
+        a[...] = 1.0
+        b = ws.take("k", (6,))
+        assert b.flags.c_contiguous and np.shares_memory(a, b)
+        c = ws.take("k", (4, 5))
+        assert c.shape == (4, 5) and not np.shares_memory(a, c)
+        assert not np.shares_memory(c, ws.take("other", (4, 5)))
