@@ -9,9 +9,11 @@ distribution, so the node totals must be carried through.  Averages over
 the leaves are folded up the tree from the atoms, with no K^r leaf array:
 the deepest level's fields are drawn and reduced in blocks of parents, so a
 replicate holds the K^r atoms and one block.  Leaves are drawn down the tree
-from the subtree masses.  Replicates smaller than a block are stacked on a
-leading replicate axis and share one fold pass; a replicate is the same bits
-alone or stacked.
+from the subtree masses.  Every sample, field and value has a leading
+replicate axis: replicates smaller than a block share one fold pass in a
+stack, a lone replicate is a stack of one, and a replicate is the same bits
+in any stack.  One kernel, cascade_values, runs the replicates of every
+cascade average: the f^1 family and its one-site case, the Y identity.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OverlapArray, psd_factor
-from .util import BudgetError, ValidationError, jackknife_se, map_groups, stack_streams
+from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_groups, stack_streams
 
 # rows x leaves of the deepest level folded per block; of 8k, 16k, 32k and 64k
 # cells, 32k gave the fastest Phi-MC replicates (see CHANGES.md)
@@ -89,32 +91,31 @@ def _log_sum_children(t, out):
     return np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + top[..., 0]
 
 
-def _rows_to(a, ndim, stack):
-    """a with singleton row axes after its `stack` leading replicate axes,
-    so that it has ndim axes and broadcasts against per-row arrays."""
-    return a.reshape(a.shape[:stack] + (1,) * (ndim - a.ndim) + a.shape[stack:])
+def _rows_to(a, ndim):
+    """a with singleton row axes after its leading replicate axis, so that
+    it has ndim axes and broadcasts against per-row arrays."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
-def _children(values, log_w, stack, out):
-    """values (..., n_parents * K) over the children of n_parents nodes, seen
-    as (..., n_parents, K), plus their (n_parents, K) log atoms, in out (which
-    may be values itself) or, if out is None, in a new array."""
+def _children(values, log_w, out):
+    """values (R, ..., n_parents * K) over the children of n_parents nodes,
+    seen as (R, ..., n_parents, K), plus their (R, n_parents, K) log atoms,
+    in out (which may be values itself) or, if out is None, in a new array."""
     v = values.reshape(values.shape[:-1] + log_w.shape[-2:])
-    w = _rows_to(log_w, v.ndim, stack) if stack else log_w
-    return np.add(v, w, out=v if out is values else out)
+    return np.add(v, _rows_to(log_w, v.ndim), out=v if out is values else out)
 
 
 def _fold(log_atoms, *term_lists, power=1.0, ws=None):
-    """Bottom-up log sums, one list per term list: entry q is (..., K**q),
+    """Bottom-up log sums, one list per term list: entry q is (R, ..., K**q),
     per depth-q node the log of the sum over the leaves below it of the
     atoms to the given power and exp(terms) beneath it.
 
-    log_atoms[p] is (K**p, K), or (R, K**p, K) for R stacked replicates;
-    the terms then lead with the same replicate axis, and the rows of the
-    terms follow it.  terms[p] for p < r - 1 is None or (..., K**(p+1)) over
+    log_atoms[p] is (R, K**p, K) for a stack of R replicates; the terms lead
+    with the same replicate axis, and the rows of the terms follow it.
+    terms[p] for p < r - 1 is None or (R, ..., K**(p+1)) over
     the depth p+1 nodes, siblings contiguous.  The deepest level's terms[-1]
     is None, such an array, or a block source: source(lo, hi) returns the
-    (..., (hi-lo)*K) terms of the children of depth r-1 parents lo..hi-1,
+    (R, ..., (hi-lo)*K) terms of the children of depth r-1 parents lo..hi-1,
     and is called on consecutive blocks from 0.  Each block adds its atoms
     and reduces every parent before the next block is made, so no K**r
     array beyond the atoms is held.  A block has at most FOLD_BLOCK_CELLS
@@ -125,11 +126,10 @@ def _fold(log_atoms, *term_lists, power=1.0, ws=None):
     """
     take = _take(ws)
     deepest = log_atoms[-1]
-    stack = deepest.ndim - 2
     n_parents, k = deepest.shape[-2:]
     rows = max(
         (math.prod(t.shape[:-1]) for terms in term_lists for t in terms if isinstance(t, np.ndarray)),
-        default=math.prod(deepest.shape[:-2]),
+        default=deepest.shape[0],
     )
     step = max(1, FOLD_BLOCK_CELLS // (rows * k))
     blocks = [[] for _ in term_lists]
@@ -145,22 +145,22 @@ def _fold(log_atoms, *term_lists, power=1.0, ws=None):
                 continue
             if callable(source):
                 block = source(lo, hi)
-                t = _children(block, log_w, stack, block)
+                t = _children(block, log_w, block)
             else:
                 block = source[..., lo * k : hi * k]
                 scratch = take("scratch", block.shape[:-1] + log_w.shape[-2:])
-                t = _children(block, log_w, stack, scratch)
+                t = _children(block, log_w, scratch)
             done.append(_log_sum_children(t, t))
     folds = []
     for terms, done in zip(term_lists, blocks):
         sums = [None] * (len(log_atoms) - 1) + [done[0] if len(done) == 1 else np.concatenate(done, axis=-1)]
         for p in range(len(log_atoms) - 2, -1, -1):
             log_w = log_atoms[p] if power == 1.0 else power * log_atoms[p]
-            t = _children(sums[p + 1], log_w, stack, None)
+            t = _children(sums[p + 1], log_w, None)
             if terms[p] is not None:
                 own = terms[p].reshape(terms[p].shape[:-1] + log_w.shape[-2:])
                 ndim = max(own.ndim, t.ndim)
-                t = _rows_to(own, ndim, stack) + _rows_to(t, ndim, stack)
+                t = _rows_to(own, ndim) + _rows_to(t, ndim)
             sums[p] = _log_sum_children(t, t)
         folds.append(sums)
     return folds
@@ -168,18 +168,18 @@ def _fold(log_atoms, *term_lists, power=1.0, ws=None):
 
 @dataclass(frozen=True)
 class CascadeSample:
-    """A sampled truncated cascade, or a stack of them: the per-level log atoms.
+    """A stack of R sampled truncated cascades: the per-level log atoms.
 
-    log_atoms[p] is the (K**p, K) array of log u over the children of the
-    depth-p nodes, shifted by the level's largest atom; a stack of R
-    cascades has (R, K**p, K) arrays, replicate first.
+    log_atoms[p] is the (R, K**p, K) array of log u over the children of
+    the depth-p nodes, replicate first, each replicate's level shifted by
+    its largest atom.
     """
 
     spec: CascadeSpec
     log_atoms: tuple
     # the Workspace whose buffers hold the atoms, and in which the folds run
     ws: object = field(default=None, repr=False, compare=False)
-    # the atoms-only fold (entry q the (..., K**q) log subtree masses), set
+    # the atoms-only fold (entry q the (R, K**q) log subtree masses), set
     # by the first fold that needs it
     _log_mass: list = field(default=None, init=False, repr=False, compare=False)
 
@@ -195,13 +195,8 @@ class CascadeSample:
     def n_leaves(self):
         return self.k**self.r
 
-    @property
-    def stack(self):
-        """The number of leading replicate axes: 0, or 1 for a stack."""
-        return self.log_atoms[0].ndim - 2
-
     def log_masses(self):
-        """The atoms-only fold: entry q is (..., K**q), the log subtree mass
+        """The atoms-only fold: entry q is (R, K**q), the log subtree mass
         of every depth-q node."""
         if self._log_mass is None:
             (mass,) = _fold(self.log_atoms, [None] * self.r, ws=self.ws)
@@ -212,7 +207,7 @@ class CascadeSample:
         """log sum_leaf v_leaf exp(sum_p terms[p] at the leaf's depth p+1 node)
         for the normalized leaf weights v, per leading index of the terms.
 
-        terms[p] is (..., K**(p+1)) over the depth p+1 nodes, and the deepest
+        terms[p] is (R, ..., K**(p+1)) over the depth p+1 nodes, and the deepest
         entry may instead be a block source (see _fold), which streams that
         level.  The first call folds the normalization in the same loop.
         """
@@ -222,11 +217,11 @@ class CascadeSample:
         else:
             (sums,) = _fold(self.log_atoms, terms, ws=self.ws)
         top = sums[0][..., 0]
-        return top - _rows_to(self._log_mass[0][..., 0], top.ndim, self.stack)
+        return top - _rows_to(self._log_mass[0][..., 0], top.ndim)
 
     def draw_leaves(self, u):
-        """Leaves of an unstacked cascade by inverse CDF down the tree, one
-        per uniform in u.
+        """Leaves of a stack of one by inverse CDF down the tree, one per
+        uniform in u.
 
         At each depth a leaf's path picks the child whose cumulative
         normalized subtree mass first exceeds u (searchsorted with
@@ -235,13 +230,13 @@ class CascadeSample:
         weights) returns for the same rng.random uniforms, up to rounding at
         the interval ends, without the K**r weights or their cumsum.
         """
-        mass = self.log_masses()
+        mass = [m[0] for m in self.log_masses()]
         k = self.k
         u = np.array(u, dtype=float)
         rows = np.arange(u.size)
         node = np.zeros(u.size, dtype=np.int64)
         for p, log_w in enumerate(self.log_atoms):
-            t = log_w[node]
+            t = log_w[0][node]
             if p + 1 < self.r:
                 t = t + mass[p + 1].reshape(-1, k)[node]
             cdf = np.cumsum(np.exp(t - mass[p][node][:, None]), axis=1)
@@ -272,7 +267,7 @@ class CascadeSample:
 
     def pair_coincidence_masses(self):
         """sum over pairs with meet depth p of v_a v_a', for p = 0..r (last
-        axis, after any replicate axis): the squared subtree masses at depth
+        axis, after the replicate axis): the squared subtree masses at depth
         q fold the doubled atoms above q."""
         log_mass = self.log_masses() + [None]  # a leaf's is log 1
         subtree_sq = [np.ones(self.log_atoms[0].shape[:-2])]
@@ -285,22 +280,26 @@ class CascadeSample:
         return np.concatenate([-np.diff(a, axis=-1), a[..., -1:]], axis=-1)
 
 
-def sample_cascade(spec, rng, ws=None):
-    """Truncated cascades drawn level by level: all levels' atoms.
+def _generators(rng):
+    """The Generators of a stack: rng itself, or [rng] for a lone Generator."""
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
 
-    rng is one Generator, or a sequence of them for a stack with a leading
-    replicate axis, replicate j drawn from rng[j] as it would be alone.  With
-    a Workspace ws the atoms are drawn into its buffers.
+
+def sample_cascade(spec, rng, ws=None):
+    """A stack of truncated cascades drawn level by level: all levels' atoms.
+
+    rng is a sequence of Generators, replicate j drawn from rng[j] as it
+    would be in any stack, or one Generator for a stack of one.  With a
+    Workspace ws the atoms are drawn into its buffers.
     """
     k = spec.atoms_per_level
-    single = isinstance(rng, np.random.Generator)
-    rngs = (rng,) if single else tuple(rng)
+    rngs = _generators(rng)
     take = _take(ws)
     levels = tuple(take(("atoms", p), (len(rngs), k**p, k)) for p in range(spec.r))
     for j, g in enumerate(rngs):
         for p, x in enumerate(spec.x):
             _pd_weights(g, x, k**p, k, out=levels[p][j])
-    return CascadeSample(spec, tuple(level[0] for level in levels) if single else levels, ws)
+    return CascadeSample(spec, levels, ws)
 
 
 def level_factors(cov_increments):
@@ -315,24 +314,24 @@ def level_field_source(sample, factors, rng, n_copies=1, ws=None, key="fields"):
     block source for the deepest level's.
 
     factors[p] is the level_factors entry of the level-(p+1) increment.
-    Level p is one standard normal draw (K**(p+1), n_copies, dim) in level
-    order, and its fields are (n_copies, dim, K**(p+1)) over the depth p+1
-    nodes: a leaf's field, the sum of its ancestors', has covariance the sum
-    of the increments down to a meet.  Returns (upper fields, deepest) where
-    deepest(lo, hi) draws the fields of the children of depth r-1 parents
-    lo..hi-1; called on consecutive blocks from 0, it continues the stream
-    of rng, so its blocks equal one draw of the whole level.
+    Level p is, per replicate, one standard normal draw (K**(p+1), n_copies,
+    dim) in level order, and its fields are (R, n_copies, dim, K**(p+1))
+    over the depth p+1 nodes: a leaf's field, the sum of its ancestors', has
+    covariance the sum of the increments down to a meet.  Returns (upper
+    fields, deepest) where deepest(lo, hi) draws the fields of the children
+    of depth r-1 parents lo..hi-1; called on consecutive blocks from 0, it
+    continues the stream of rng, so its blocks equal one draw of the whole
+    level.
 
-    For a stacked sample rng holds one Generator per replicate and the
-    fields lead with the replicate axis; each replicate's `factor @ z` is
-    its own product, written over its draw.  With a Workspace ws the fields
-    are drawn into its buffers under `key`, each deepest block reuses the
-    last one's, and the transposed draw uses its buffer "scratch".
+    rng holds one Generator per replicate of the sample, or is one Generator
+    for a stack of one; each replicate's `factor @ z` is its own product,
+    written over its draw.  With a Workspace ws the fields are drawn into
+    its buffers under `key`, each deepest block reuses the last one's, and
+    the transposed draw uses its buffer "scratch".
     """
     if len(factors) != sample.r:
         raise ValidationError("need one covariance increment per level")
-    stacked = sample.stack
-    rngs = tuple(rng) if stacked else (rng,)
+    rngs = _generators(rng)
     take = _take(ws)
 
     def draw(p, n_nodes, name):
@@ -345,7 +344,7 @@ def level_field_source(sample, factors, rng, n_copies=1, ws=None, key="fields"):
             z = g.standard_normal(out=out[j].reshape(n_nodes, n_copies, dim))
             np.copyto(zt, z.transpose(1, 2, 0))
             np.matmul(factor, zt, out=out[j])
-        return out if stacked else out[0]
+        return out
 
     upper = tuple(draw(p, sample.k ** (p + 1), p) for p in range(sample.r - 1))
     return upper, lambda lo, hi: draw(sample.r - 1, (hi - lo) * sample.k, "deepest")
@@ -385,24 +384,61 @@ def sample_overlap_array(sample, q, phi, n, rng):
     return OverlapArray(traces, blocks)
 
 
-def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
-    spec = CascadeSpec(tuple(path.inner_x), k)
-    factors = level_factors(path.hs_increments()[:, None, None])
-    scale = beta * np.sqrt(scale_n)
+def config_field_sum(fields, configs, out=None):
+    """Sum of one level's per-site node fields along each configuration.
+
+    fields: (R, M, kappa, n_nodes), the replicate axis first; configs:
+    (n_conf, M) 0-based labels.  Returns (R, n_conf, n_nodes) in C order, so
+    a reduction over its last axis adds each row as it would add that row
+    alone (fancy indexing may lay the replicate axis fastest); in out if
+    given.
+    """
+    # the labels are in range; the default mode="raise" copies through a buffer into out
+    acc = fields[..., 0, :, :].take(configs[:, 0], axis=-2, out=out, mode="clip")
+    for i in range(1, configs.shape[1]):
+        acc += fields[..., i, :, :].take(configs[:, i], axis=-2)
+    return acc
+
+
+def cascade_values(tag, configs, lam_term, factors, beta, spec, reps, seed, threads):
+    """The replicate values, in index order, of the cascade average
+    (1/M) log sum_alpha v_alpha sum_sigma exp(beta sum_i z_{i,sigma_i}(alpha) + lam_term[sigma])
+    over the rows sigma of configs, an (n_conf, M) array of 0-based labels,
+    with node fields of the level_factors `factors`.
+
+    Replicate i draws its atoms and then every level's fields from
+    stream(seed, tag, K, i), and folds them down the tree together, the
+    deepest level drawn block by block; replicates small enough share one
+    fold pass in a stack (see map_groups).
+    """
+    k = spec.atoms_per_level
+    n_conf, m = configs.shape
 
     def run(indices, ws):
-        rng = stack_streams(indices, seed, 0x11D, k)
+        rng = stack_streams(indices, seed, tag, k)
         sample = sample_cascade(spec, rng, ws)
-        upper, deepest = level_field_source(sample, factors, rng, ws=ws)
+        upper, deepest = level_field_source(sample, factors, rng, n_copies=m, ws=ws)
 
         def deepest_terms(lo, hi):
-            g = deepest(lo, hi)[..., 0, 0, :]
-            return np.multiply(g, scale, out=g)  # a block's fields are used once
+            g = deepest(lo, hi)
+            acc = config_field_sum(g, configs, ws.take("scratch", (g.shape[0], n_conf, g.shape[-1])))
+            return np.multiply(acc, beta, out=acc)
 
-        terms = [scale * g[..., 0, 0, :] for g in upper] + [deepest_terms]
-        return np.atleast_1d(sample.log_mean_exp(terms) / scale_n)
+        terms = [beta * config_field_sum(g, configs) for g in upper] + [deepest_terms]
+        return logsumexp(lam_term + sample.log_mean_exp(terms), axis=-1) / m
 
-    values = np.asarray(map_groups(run, reps, threads, stack_size(spec.atoms_per_level**spec.r)))
+    return np.asarray(map_groups(run, reps, threads, stack_size(n_conf * k**spec.r)))
+
+
+def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
+    """Mean and jackknife error of (1/N) log sum_alpha v_alpha exp(beta
+    sqrt(N) Y(alpha)): the one-site case of cascade_values, with the scalar
+    HS increments as the level covariances."""
+    values = cascade_values(
+        0x11D, np.zeros((1, 1), dtype=np.int64), 0.0,
+        level_factors(path.hs_increments()[:, None, None]), beta * np.sqrt(scale_n),
+        CascadeSpec(tuple(path.inner_x), k), reps, seed, threads,
+    ) / scale_n
     return float(values.mean()), jackknife_se(values)
 
 
@@ -442,12 +478,9 @@ def coincidence_masses(spec, n_samples, seed=0, threads=1):
     """
     if n_samples < 2:
         raise ValidationError("need at least 2 cascade samples")
-    masses = map_groups(
+    masses = np.asarray(map_groups(
         lambda indices, ws: sample_cascade(spec, stack_streams(indices, seed, 0xC01), ws)
-        .pair_coincidence_masses().reshape(len(indices), -1),
+        .pair_coincidence_masses(),
         n_samples, threads, stack_size(spec.atoms_per_level**spec.r),
-    )
-    mean = sum(masses) / n_samples
-    var = (sum(m**2 for m in masses) / n_samples - mean**2) * n_samples / (n_samples - 1)
-    se = np.sqrt(np.clip(var, 0.0, None) / n_samples)
-    return mean, se
+    ))
+    return sum(masses) / n_samples, np.array([jackknife_se(depth) for depth in masses.T])

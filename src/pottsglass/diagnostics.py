@@ -6,9 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields, stack_size
+from .cascade import (
+    CascadeSpec, config_field_sum, level_factors, sample_cascade, sample_level_fields, stack_size,
+)
 from .core import OverlapArray, psd_factor, round_distribution
-from .functional import config_field_sum, eval_f1_restricted, eval_phi
+from .functional import eval_f1_restricted, eval_phi
 from .model import (
     DisorderInstance,
     config_energies,

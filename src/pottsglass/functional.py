@@ -6,7 +6,8 @@ quadrature in the eigenbasis of each increment covariance, and truncated
 cascade Monte Carlo.  The quadrature route is deterministic and is the
 optimizer's objective; the Monte Carlo route is the independent cross-check.
 It is the restricted-set cascade average with M = 1 over the kappa one-site
-configurations, and both run through one replicate kernel.
+configurations; this module gives the configurations and lambda-terms of
+each average, and cascade.cascade_values runs its replicates.
 """
 
 import functools
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeSpec, level_factors, level_field_source, sample_cascade, stack_size
+from .cascade import CascadeSpec, cascade_values, level_factors
 from .core import (
     EvalResult,
     as_multipliers,
@@ -25,7 +26,7 @@ from .core import (
     psd_factor,
 )
 from .model import enumerate_configs
-from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_groups, stack_streams
+from .util import BudgetError, ValidationError, jackknife_se, logsumexp
 
 FORM_AGREEMENT_TOL = 1e-10
 RANK_TOL = 1e-9  # increment eigenvalues at or below this get no quadrature axis
@@ -249,62 +250,21 @@ def eval_f2(path, beta):
     return float(_f2_rows(path.d.d, path.xs, path.gammas, beta))
 
 
-def config_field_sum(fields, configs, out=None):
-    """Sum of one level's per-site node fields along each configuration.
-
-    fields: (..., M, kappa, n_nodes), any leading replicate axes first;
-    configs: (n_conf, M) 0-based labels.  Returns (..., n_conf, n_nodes) in
-    C order, so a reduction over its last axis adds each row as it would
-    add that row alone (fancy indexing may lay the replicate axis fastest);
-    in out if given.
-    """
-    # the labels are in range; the default mode="raise" copies through a buffer into out
-    acc = fields[..., 0, :, :].take(configs[:, 0], axis=-2, out=out, mode="clip")
-    for i in range(1, configs.shape[1]):
-        acc += fields[..., i, :, :].take(configs[:, i], axis=-2)
-    return acc
-
-
-def _cascade_stack(rng, spec, factors, configs, lam_term, beta, ws=None):
-    """Each replicate's (1/M) log sum_alpha v_alpha sum_sigma exp(...) for a
-    stack of cascade draws (rng a list of Generators) or one (a Generator):
-    replicate j's atoms and then every level's fields from rng[j], folded
-    down the tree together, with the deepest level drawn block by block."""
-    sample = sample_cascade(spec, rng, ws)
-    upper, deepest = level_field_source(sample, factors, rng, n_copies=configs.shape[1], ws=ws)
-
-    def deepest_terms(lo, hi):
-        g = deepest(lo, hi)
-        shape = g.shape[:-3] + (configs.shape[0], g.shape[-1])
-        acc = config_field_sum(g, configs, None if ws is None else ws.take("scratch", shape))
-        return np.multiply(acc, beta, out=acc)
-
-    terms = [beta * config_field_sum(g, configs) for g in upper] + [deepest_terms]
-    per_conf = sample.log_mean_exp(terms)
-    return np.atleast_1d(logsumexp(lam_term + per_conf, axis=-1) / configs.shape[1])
-
-
 def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, threads, diagnostics):
     """Replicate mean and jackknife error of the cascade average
     (1/M) log sum_alpha v_alpha sum_sigma exp(sum_i beta z_{i,sigma_i}(alpha) + lambda_{sigma_i})
-    over the rows sigma of configs, an (n_conf, M) array of 0-based labels.
-
-    Replicate i draws its cascade and fields from stream(seed, tag, K, i);
-    replicates small enough share one fold pass in a stack.
+    over the rows sigma of configs, an (n_conf, M) array of 0-based labels:
+    cascade_values with the path's increments and lambda_{sigma_1} + ... +
+    lambda_{sigma_M} per row.
     """
     if reps < 2:
         raise ValidationError("need at least 2 replicates")
     lam_full = np.append(as_multipliers(lam, path.kappa).lam, 0.0)
-    lam_term = lam_full[configs].sum(axis=1)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
-    factors = level_factors(path.increment_covariances())
-
-    def run(indices, ws):
-        rng = stack_streams(indices, seed, tag, atoms_per_level)
-        return _cascade_stack(rng, spec, factors, configs, lam_term, beta, ws)
-
-    cells = configs.shape[0] * atoms_per_level**spec.r
-    values = np.asarray(map_groups(run, reps, threads, stack_size(cells)))
+    values = cascade_values(
+        tag, configs, lam_full[configs].sum(axis=1), level_factors(path.increment_covariances()),
+        beta, spec, reps, seed, threads,
+    )
     diagnostics = {"reps": reps, "atoms_per_level": atoms_per_level, **diagnostics}
     return EvalResult(float(values.mean()), jackknife_se(values), "cascade-mc", diagnostics)
 

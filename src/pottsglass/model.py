@@ -581,7 +581,7 @@ def perturbation_covariance(spec, R):
 def _cov_with_se(x, y):
     """Sample cross-moment of two centered samples, with its standard error."""
     prod = x * y
-    return float(prod.mean()), float(prod.std(ddof=1) / np.sqrt(prod.size))
+    return float(prod.mean()), jackknife_se(prod)
 
 
 def ass_covariance_check(N, M, kappa, n_pairs=3, n_draws=10_000, seed=0):

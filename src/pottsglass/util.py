@@ -28,11 +28,9 @@ def stream(master_seed, *key):
 
 
 def stack_streams(indices, master_seed, *key):
-    """The streams stream(master_seed, *key, i) of a stack of replicate
-    indices: a list, or for a stack of one its lone Generator, so that a
-    replicate alone runs unstacked, with no replicate axis."""
-    rngs = [stream(master_seed, *key, i) for i in indices]
-    return rngs[0] if len(rngs) == 1 else rngs
+    """The list of streams stream(master_seed, *key, i) of a stack of
+    replicate indices."""
+    return [stream(master_seed, *key, i) for i in indices]
 
 
 def map_indexed(fn, n, threads=1):
@@ -79,17 +77,18 @@ def map_groups(fn, n, threads=1, stack=1):
     """Values of replicates 0..n-1 in index order, from fn(indices, ws) over
     stacks of at most `stack` consecutive indices.
 
-    The replicates are cut into contiguous groups, one per pool task, four
-    per worker that map_indexed starts, so a worker that finishes early
-    takes another group.  Replicates small enough to stack (stack > 1) run
-    in one group on the calling thread: their numpy calls are too short to
-    release the GIL for long, and two threads ran them slower than one.  A
-    group cuts itself into stacks of equal size, and each worker thread runs
-    its stacks with one Workspace ws.  fn returns one value per index, each
-    as it would be alone, so the output does not depend on the thread count.
+    The groups depend on n, stack and the core count, never on threads,
+    which only sizes the pool.  Replicates that run one at a time (stack 1)
+    are cut into contiguous groups, one per pool task, four per core, so a
+    worker that finishes early takes another group.  Replicates small enough
+    to stack (stack > 1) run in one group on the calling thread: their numpy
+    calls are too short to release the GIL for long, and two threads ran
+    them slower than one.  A group cuts itself into stacks of equal size,
+    and each worker thread runs its stacks with one Workspace ws.  fn
+    returns one value per index, each as it would be in any stack, so the
+    output does not depend on the groups or the thread count.
     """
-    workers = min(threads, n, os.cpu_count() or 1) if stack == 1 else 1
-    n_groups = min(n, 4 * workers) if workers > 1 else 1
+    n_groups = max(1, min(n, 4 * (os.cpu_count() or 1))) if stack == 1 else 1
     edges = [n * g // n_groups for g in range(n_groups + 1)]
     local = threading.local()
 

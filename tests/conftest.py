@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from pottsglass import cascade, util
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.util import stream
 
@@ -30,6 +31,22 @@ def random_path(rng, d, r, x_low=0.1, x_high=0.9):
 
 def seeded(master, *key):
     return stream(master, *key)
+
+
+def lone_replicate_streams(monkeypatch):
+    """Make cascade.cascade_values run each replicate as a stack of one, as
+    a replicate alone, and return the list that gains the stream of every
+    replicate it runs, in index order."""
+    made = []
+
+    def streams(indices, *key):
+        rngs = util.stack_streams(indices, *key)
+        made.extend(rngs)
+        return rngs
+
+    monkeypatch.setattr(cascade, "stack_streams", streams)
+    monkeypatch.setattr(cascade, "map_groups", lambda fn, n, threads, stack: util.map_groups(fn, n, threads))
+    return made
 
 
 def rng_state(rng):

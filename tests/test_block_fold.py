@@ -16,11 +16,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_path, rng_state, seeded
+from conftest import lone_replicate_streams, random_path, rng_state, seeded
 from pottsglass import cascade
 from pottsglass.cascade import (
     CascadeSpec,
     _pd_weights,
+    cascade_values,
+    config_field_sum,
     level_factors,
     level_field_source,
     sample_cascade,
@@ -29,7 +31,7 @@ from pottsglass.cascade import (
 from pottsglass.cli import main
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.diagnostics import interpolation_curve
-from pottsglass.functional import _cascade_stack, config_field_sum, eval_phi_cascade_mc
+from pottsglass.functional import eval_phi_cascade_mc
 from pottsglass.util import BudgetError, logsumexp, stream
 
 LEVELS = {1: (0.4,), 2: (0.3, 0.7), 3: (0.2, 0.5, 0.8)}
@@ -55,14 +57,16 @@ def reference_fold(log_atoms, terms):
 
 
 def reference_log_mean_exp(sample, terms):
-    log_norm = reference_fold(sample.log_atoms, [None] * sample.r)[0][0]
-    return reference_fold(sample.log_atoms, terms)[0][..., 0] - log_norm
+    """The normalized fold of a stack of one, for terms with no replicate axis."""
+    atoms = [log_w[0] for log_w in sample.log_atoms]
+    log_norm = reference_fold(atoms, [None] * sample.r)[0][0]
+    return reference_fold(atoms, terms)[0][..., 0] - log_norm
 
 
 def reference_replicate(rng, spec, cov_inc, configs, lam_term, beta):
     sample = sample_cascade(spec, rng)
     fields = sample_level_fields(sample, level_factors(cov_inc), rng, n_copies=configs.shape[1])
-    per_conf = reference_log_mean_exp(sample, [beta * config_field_sum(g, configs) for g in fields])
+    per_conf = reference_log_mean_exp(sample, [beta * config_field_sum(g[0], configs) for g in fields])
     return float(logsumexp(lam_term + per_conf) / configs.shape[1])
 
 
@@ -87,11 +91,12 @@ def test_replicate_is_bitwise_the_in_memory_fold(r, kappa, m, step, monkeypatch)
     configs = np.array(list(itertools.product(range(kappa), repeat=m)))
     lam_term = rng.uniform(-1.0, 1.0, size=configs.shape[0])
     set_step(monkeypatch, step, configs.shape[0], k)
+    blocked = lone_replicate_streams(monkeypatch)
+    values = cascade_values(0xB10C, configs, lam_term, level_factors(cov_inc), 1.3, spec, 2, 51, 1)
     for i in range(2):
-        blocked, whole = stream(51, 0xB10C, i), stream(51, 0xB10C, i)
-        value = _cascade_stack(blocked, spec, level_factors(cov_inc), configs, lam_term, 1.3)[0]
-        assert value == reference_replicate(whole, spec, cov_inc, configs, lam_term, 1.3)
-        assert rng_state(blocked) == rng_state(whole)
+        whole = stream(51, 0xB10C, k, i)
+        assert values[i] == reference_replicate(whole, spec, cov_inc, configs, lam_term, 1.3)
+        assert rng_state(blocked[i]) == rng_state(whole)
 
 
 @pytest.mark.parametrize("step", STEPS)
@@ -108,7 +113,7 @@ def test_scalar_y_path_is_bitwise_the_in_memory_fold(r, step, monkeypatch):
         rng = stream(8, 0x11D, k, i)
         sample = sample_cascade(spec, rng)
         y = sample_level_fields(sample, level_factors(var_inc), rng)
-        terms = [beta * np.sqrt(scale_n) * g[0, 0] for g in y]
+        terms = [beta * np.sqrt(scale_n) * g[0, 0, 0] for g in y]
         values.append(float(reference_log_mean_exp(sample, terms) / scale_n))
     est, _ = cascade._y_estimate(path, beta, scale_n, reps, k, 8, 1)
     assert est == np.asarray(values).mean()
@@ -120,22 +125,23 @@ def test_array_terms_and_masses_are_bitwise_the_in_memory_fold(r, step, monkeypa
     k = 7
     rng = seeded(53, r)
     sample = sample_cascade(CascadeSpec(LEVELS[r], atoms_per_level=k), rng)
-    terms = [rng.normal(0.0, 3.0, size=(2, 3, k ** (p + 1))) for p in range(r)]
+    terms = [rng.normal(0.0, 3.0, size=(1, 2, 3, k ** (p + 1))) for p in range(r)]
     set_step(monkeypatch, step, 6, k)
     got = sample.log_mean_exp(terms)
-    assert np.array_equal(got, reference_log_mean_exp(sample, terms))
+    assert np.array_equal(got[0], reference_log_mean_exp(sample, [t[0] for t in terms]))
     # a second call reuses the normalization of the first
     assert np.array_equal(sample.log_mean_exp(terms), got)
     fresh = sample_cascade(CascadeSpec(LEVELS[r], atoms_per_level=k), seeded(53, r))
-    mass = reference_fold(fresh.log_atoms, [None] * r) + [None]
+    atoms = [log_w[0] for log_w in fresh.log_atoms]
+    mass = reference_fold(atoms, [None] * r) + [None]
     subtree_sq = [1.0]
     for q in range(1, r + 1):
-        doubled = [2.0 * log_w for log_w in fresh.log_atoms[:q]]
+        doubled = [2.0 * log_w for log_w in atoms[:q]]
         bottom = None if mass[q] is None else 2.0 * mass[q]
         folded = reference_fold(doubled, [None] * (q - 1) + [bottom])[0][0]
         subtree_sq.append(float(np.exp(folded - 2.0 * mass[0][0])))
     a = np.asarray(subtree_sq)
-    assert np.array_equal(fresh.pair_coincidence_masses(), np.append(-np.diff(a), a[-1]))
+    assert np.array_equal(fresh.pair_coincidence_masses()[0], np.append(-np.diff(a), a[-1]))
 
 
 def test_interpolation_curve_does_not_depend_on_the_block(monkeypatch):

@@ -46,8 +46,9 @@ class TestSampleCascade:
         w = np.exp(oracle_log_leaf_weights(spec, seeded(1, 0)))
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.min(w) >= 0.0
-        assert s.log_atoms[0].shape == (1, 5)
-        assert s.log_atoms[1].shape == (5, 5)
+        # a lone Generator draws a stack of one
+        assert s.log_atoms[0].shape == (1, 1, 5)
+        assert s.log_atoms[1].shape == (1, 5, 5)
         # each level is shifted by its largest atom
         assert [level.max() for level in s.log_atoms] == [0.0, 0.0]
         assert np.all(np.isfinite(s.log_atoms[1]))
@@ -55,7 +56,7 @@ class TestSampleCascade:
     def test_rows_sorted_descending(self):
         spec = CascadeSpec((0.4,), atoms_per_level=16)
         s = sample_cascade(spec, seeded(2, 0))
-        w = s.log_atoms[0][0]
+        w = s.log_atoms[0][0, 0]
         assert np.all(np.diff(w) <= 0.0)
 
     def test_seed_reproducibility(self):
@@ -68,12 +69,12 @@ class TestSampleCascade:
     def test_leaf_weights_are_the_atom_products(self):
         spec = CascadeSpec((0.3, 0.6), atoms_per_level=4)
         s = sample_cascade(spec, seeded(1, 1))
-        u = [np.exp(level) for level in s.log_atoms]
+        u = [np.exp(level[0]) for level in s.log_atoms]
         products = (u[0].reshape(-1, 1) * u[1]).reshape(-1)
         w = np.exp(oracle_log_leaf_weights(spec, seeded(1, 1)))
         np.testing.assert_allclose(w, products / products.sum(), rtol=1e-13)
         # the atoms-only fold is the log of the same normalization
-        assert s.log_masses()[0][0] == pytest.approx(np.log(products.sum()), rel=1e-13)
+        assert s.log_masses()[0][0, 0] == pytest.approx(np.log(products.sum()), rel=1e-13)
 
 
 class TestLeafStructure:
@@ -96,7 +97,7 @@ class TestLeafStructure:
     def test_pair_coincidence_masses_sum_to_one(self):
         spec = CascadeSpec((0.25, 0.7), atoms_per_level=20)
         s = sample_cascade(spec, seeded(4, 0))
-        masses = s.pair_coincidence_masses()
+        masses = s.pair_coincidence_masses()[0]
         assert masses.size == 3
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.min(masses) >= 0.0
@@ -105,7 +106,7 @@ class TestLeafStructure:
         spec = CascadeSpec((0.5,), atoms_per_level=30)
         s = sample_cascade(spec, seeded(5, 0))
         w = np.exp(oracle_log_leaf_weights(spec, seeded(5, 0)))
-        masses = s.pair_coincidence_masses()
+        masses = s.pair_coincidence_masses()[0]
         assert masses[1] == pytest.approx(float(np.sum(w**2)), abs=1e-12)
         assert masses[0] == pytest.approx(1.0 - float(np.sum(w**2)), abs=1e-12)
 
@@ -135,7 +136,8 @@ class TestLeafFields:
         s = sample_cascade(spec, seeded(6, 0))
         c1 = np.array([[0.5, 0.2], [0.2, 0.4]])
         c2 = np.array([[0.3, -0.1], [-0.1, 0.6]])
-        z = leaf_fields(sample_level_fields(s, level_factors([c1, c2]), seeded(6, 1), n_copies=40_000), 2)
+        fields = sample_level_fields(s, level_factors([c1, c2]), seeded(6, 1), n_copies=40_000)
+        z = leaf_fields([g[0] for g in fields], 2)
         # leaves 0=(0,0), 1=(0,1): meet depth 1 -> covariance c1
         cov01 = np.einsum("ck,cl->kl", z[:, :, 0], z[:, :, 1]) / z.shape[0]
         np.testing.assert_allclose(cov01, c1, atol=0.03)
@@ -149,7 +151,7 @@ class TestLeafFields:
     def test_default_is_one_copy(self):
         s = sample_cascade(CascadeSpec((0.3, 0.6), atoms_per_level=3), seeded(6, 4))
         fields = sample_level_fields(s, level_factors([np.eye(2), np.eye(2)]), seeded(6, 5))
-        assert [g.shape for g in fields] == [(1, 2, 3), (1, 2, 9)]
+        assert [g.shape for g in fields] == [(1, 1, 2, 3), (1, 1, 2, 9)]
 
     def test_wrong_increment_count_raises(self):
         s = sample_cascade(CascadeSpec((0.5,), atoms_per_level=2), seeded(6, 2))
@@ -161,7 +163,7 @@ class TestLeafFields:
         spec = CascadeSpec((0.4,), atoms_per_level=3)
         s = sample_cascade(spec, seeded(7, 0))
         (g,) = sample_level_fields(s, level_factors([[[0.8]]]), seeded(7, 1), n_copies=20_000)
-        draws = g[:, 0, :]
+        draws = g[0, :, 0, :]
         var = draws.var(axis=0)
         np.testing.assert_allclose(var, 0.8, atol=0.04)
         # distinct leaves at meet depth 0 are independent
@@ -177,7 +179,7 @@ class TestLeafFields:
         rng = seeded(7, 3)
         for p, g in enumerate(fields):
             np.testing.assert_array_equal(
-                g[0, 0], np.sqrt(var[p]) * rng.standard_normal(4 ** (p + 1))
+                g[0, 0, 0], np.sqrt(var[p]) * rng.standard_normal(4 ** (p + 1))
             )
 
 

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import random_path, rng_state, seeded
+from conftest import lone_replicate_streams, random_path, rng_state, seeded
 from pottsglass import cascade
-from pottsglass.cascade import CascadeSpec, level_factors, sample_cascade
+from pottsglass.cascade import CascadeSpec, cascade_values, level_factors, sample_cascade
 from pottsglass.core import MonotonePath, StateDistribution, psd_factor
 from pottsglass.diagnostics import interpolation_curve
-from pottsglass.functional import _cascade_stack
 from pottsglass.model import DisorderInstance, config_energies, enumerate_configs, mean_energy
 from pottsglass.util import jackknife_se, stream
 
@@ -67,19 +66,20 @@ def random_covariances(rng, kappa, r):
 
 
 @pytest.mark.parametrize("x,kappa,m", CASES)
-def test_replicate_matches_leaf_arrays(x, kappa, m):
+def test_replicate_matches_leaf_arrays(x, kappa, m, monkeypatch):
     rng = seeded(41, len(x), kappa, m)
     spec = CascadeSpec(x, atoms_per_level=7)
     covs = random_covariances(rng, kappa, len(x))
     configs = np.array(list(itertools.product(range(kappa), repeat=m)))
     lam_term = rng.uniform(-1.0, 1.0, size=configs.shape[0])
-    for i in range(3):
-        folded_rng, oracle_rng = stream(41, 0xF01D, i), stream(41, 0xF01D, i)
-        value = _cascade_stack(folded_rng, spec, level_factors(covs), configs, lam_term, 1.3)[0]
+    folded = lone_replicate_streams(monkeypatch)
+    values = cascade_values(0xF01D, configs, lam_term, level_factors(covs), 1.3, spec, 3, 41, 1)
+    for i, value in enumerate(values):
+        oracle_rng = stream(41, 0xF01D, spec.atoms_per_level, i)
         expected = oracle_replicate(oracle_rng, spec, covs, configs, lam_term, 1.3)
         assert np.isfinite(value)
         assert value == pytest.approx(expected, rel=1e-12)
-        assert rng_state(folded_rng) == rng_state(oracle_rng)
+        assert rng_state(folded[i]) == rng_state(oracle_rng)
 
 
 @pytest.mark.parametrize("x", [x for r in (1, 2, 3) for x in LEVELS[r]])
@@ -106,7 +106,7 @@ def test_coincidence_masses_match_leaf_weights(x):
     w = np.exp(oracle_log_leaf_weights(spec, seeded(43, r, int(100 * x[0]))))
     subtree_sq = [float(np.sum(w.reshape(k**p, -1).sum(axis=1) ** 2)) for p in range(r + 1)]
     expected = np.append(-np.diff(subtree_sq), subtree_sq[-1])
-    masses = sample.pair_coincidence_masses()
+    masses = sample.pair_coincidence_masses()[0]
     assert np.all(np.isfinite(masses))
     np.testing.assert_allclose(masses, expected, rtol=1e-12, atol=1e-15)
 

@@ -156,7 +156,7 @@ class TestEvalPhi:
             sample = sample_cascade(spec, draws)
             fields = sample_level_fields(sample, level_factors(p.increment_covariances()), draws)
             # a leaf's field is the sum of its ancestors' node fields
-            z = sum(np.repeat(g[0], 30 ** (1 - q), axis=-1) for q, g in enumerate(fields)).T
+            z = sum(np.repeat(g[0, 0], 30 ** (1 - q), axis=-1) for q, g in enumerate(fields)).T
             per_leaf = logsumexp(0.8 * z + lam, axis=1)
             log_v = oracle_log_leaf_weights(spec, stream(5, 0xF1, 30, i))
             values.append(logsumexp(log_v + per_leaf))

@@ -16,7 +16,7 @@ import pytest
 from conftest import random_path, rng_state, seeded
 from test_fold import LEVELS, oracle_log_leaf_weights
 from pottsglass import cascade, diagnostics, functional, util
-from pottsglass.cascade import CascadeSpec, sample_cascade, sample_overlap_array
+from pottsglass.cascade import CascadeSpec, cascade_values, level_factors, sample_cascade, sample_overlap_array
 from pottsglass.core import StateDistribution
 
 REPS = 9
@@ -63,7 +63,7 @@ def test_cascade_average_replicates_do_not_depend_on_the_group(r, m, monkeypatch
     # 27 rows at m = 3: a reduction over them that does not add each row
     # as it would alone shows in the last bits
     configs = np.array(list(itertools.product([1, 2, 3], repeat=m)))
-    tables = per_replicate(monkeypatch, functional, lambda: functional.eval_f1_restricted(
+    tables = per_replicate(monkeypatch, cascade, lambda: functional.eval_f1_restricted(
         configs, [0.2, -0.1], path, 0.9, reps=REPS, atoms_per_level=ATOMS[r], seed=4,
     ))
     assert_same_bits(tables)
@@ -77,6 +77,33 @@ def test_y_estimate_replicates_do_not_depend_on_the_group(r, monkeypatch):
         monkeypatch, cascade, lambda: cascade._y_estimate(path, 1.1, 3, REPS, ATOMS[r], 5, 1)
     )
     assert_same_bits(tables)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_y_identity_replicates_are_the_one_site_kernel(r, monkeypatch):
+    # the Y field's average is the one-site f^1 average: configs [[0]], no
+    # lambda-term, the scalar HS increments and beta sqrt(N), divided by N
+    path, beta, n, k = path_of(r), 1.1, 3, ATOMS[r]
+    seen = []
+
+    def recorded(fn, reps, threads, stack):
+        values = util.map_groups(fn, reps, threads, stack)
+        seen.append(np.asarray(values))
+        return values
+
+    monkeypatch.setattr(cascade, "map_groups", recorded)
+    report = cascade.verify_y_identity(path, beta, scale_N=n, reps=REPS, atoms_per_level=k, seed=5)
+    monkeypatch.undo()
+    assert len(seen) == 2  # the K pass, then the 2K pass
+    factors = level_factors(path.hs_increments()[:, None, None])
+    for atoms, values, name in zip((k, 2 * k), seen, ("", "_2k")):
+        scalar = cascade_values(
+            0x11D, np.zeros((1, 1), dtype=np.int64), 0.0, factors, beta * np.sqrt(n),
+            CascadeSpec(tuple(path.inner_x), atoms), REPS, 5, 1,
+        )
+        assert values.tobytes() == scalar.tobytes()
+        assert report["estimate" + name] == float(np.mean(scalar / n))
+        assert report["std_error" + name] == util.jackknife_se(scalar / n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -104,6 +104,26 @@ class TestMapGroups:
         util.map_groups(lambda indices, ws: list(indices), 100, 4)
         assert sizes == [4]
 
+    @pytest.mark.parametrize("stack", [1, 4])
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_groups_do_not_depend_on_threads(self, cores, stack, monkeypatch):
+        # the groups are the tasks of map_indexed; each returns its indices
+        monkeypatch.setattr(util, "ThreadPoolExecutor", recording_pool([]))
+        monkeypatch.setattr(util.os, "cpu_count", lambda: cores)
+        real = util.map_indexed
+        plans = []
+        for threads in (1, 2):
+            groups, stacks = [], []
+
+            def tasks(group, n, threads):
+                return real(lambda g: groups.append(group(g)) or groups[-1], n, threads)
+
+            monkeypatch.setattr(util, "map_indexed", tasks)
+            util.map_groups(lambda indices, ws: stacks.append(list(indices)) or list(indices), 37, threads, stack)
+            plans.append((groups, stacks))
+        assert plans[0] == plans[1]
+        assert len(plans[0][0]) == (4 * cores if stack == 1 else 1)
+
     def test_a_thread_reuses_its_workspace(self):
         seen = []
 
