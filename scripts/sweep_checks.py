@@ -7,19 +7,18 @@ and report the ops whose checks fail.
 DIR is the root of a source checkout.  Its ``bench/workloads.py`` builds the
 ops of each (seed, rep), and each op runs in this process, checked, at the
 workload's thread count, with BLAS and OpenMP pinned to one thread as in a
-benchmark worker.  A raising op counts as failed, as in ``run_pass``.  Each
-failure prints one line, ``fail {workload, seed, rep, op, detail}``; the
-last line is a JSON summary per workload: passes run, ops run, the failing
-(seed, rep, op) triples and the share of ops that failed.  With
-``--max-seconds`` no new pass starts after that time, and the summary says
-how many passes ran.  Nothing under ``bench/`` is written.
+benchmark worker.  Each pass goes through the checkout's ``run_pass``, so an
+op fails exactly when it fails in the benchmark.  Each failure prints one
+line, ``fail {workload, seed, rep, op, detail}``; the last line is a JSON
+summary per workload: passes run, ops run, the failing (seed, rep, op)
+triples and the share of ops that failed.  Nothing under ``bench/`` is
+written.
 """
 
 import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
@@ -39,29 +38,23 @@ def plain(value):
     return value.tolist() if hasattr(value, "tolist") else str(value)
 
 
-def sweep(workloads, name, seeds, reps, deadline):
+def sweep(workloads, name, seeds, reps):
     threads = workloads.THREADS[name]
-    passes = ops = 0
+    ops = 0
     failing = []
     for seed in seeds:
         for rep in reps:
-            if time.monotonic() > deadline:
-                break
-            passes += 1
-            for op in workloads.BUILDERS[name](seed, rep):
-                ops += 1
-                try:
-                    ok, detail = op.run(threads)
-                except Exception as exc:
-                    ok, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
-                if not ok:
-                    failing.append([seed, rep, op.name])
-                    row = {"workload": name, "seed": seed, "rep": rep, "op": op.name, "detail": detail}
+            log = []
+            ops += workloads.run_pass(workloads.BUILDERS[name](seed, rep), threads, log)[1]
+            for entry in log:
+                if not entry["ok"]:
+                    failing.append([seed, rep, entry["op"]])
+                    detail = {k: v for k, v in entry.items() if k not in ("op", "ok", "s")}
+                    row = {"workload": name, "seed": seed, "rep": rep, "op": entry["op"], "detail": detail}
                     print("fail " + json.dumps(row, default=plain), flush=True)
     return {
         "threads": threads,
-        "passes": passes,
-        "of_passes": len(seeds) * len(reps),
+        "passes": len(seeds) * len(reps),
         "ops": ops,
         "failing": failing,
         "failure_share": len(failing) / ops if ops else 0.0,
@@ -74,17 +67,15 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", help="repeat for several; default all")
     ap.add_argument("--seeds", type=span, default=span("1-5"))
     ap.add_argument("--reps", type=span, default=span("0-9"))
-    ap.add_argument("--max-seconds", type=float, default=float("inf"))
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     sys.dont_write_bytecode = True  # no __pycache__ in the checkout's bench/
     import workloads
 
-    deadline = time.monotonic() + args.max_seconds
     names = args.workload or sorted(workloads.BUILDERS)
     summary = {"checkout": str(checkout), "seeds": args.seeds, "reps": args.reps}
-    summary["workloads"] = {name: sweep(workloads, name, args.seeds, args.reps, deadline) for name in names}
+    summary["workloads"] = {name: sweep(workloads, name, args.seeds, args.reps) for name in names}
     print(json.dumps(summary))
 
 
