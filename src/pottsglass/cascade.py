@@ -8,8 +8,10 @@ instead would keep the log-moment recursion but break the joint overlap
 distribution, so the node totals must be carried through.  Averages over
 the leaves are folded up the tree from the atoms, with no K^r leaf array:
 the deepest level's fields are drawn and reduced in blocks of parents, so a
-replicate holds the K^r atoms and one block.  Leaves are drawn down the tree
-from the subtree masses.  Every sample, field and value has a leading
+replicate holds the K^r atoms and one block.  A sample holds its atoms and
+their subtree masses, folded once when it is drawn: every average is one
+fold of one term list divided by the root mass, and leaves are drawn down
+the tree from the masses.  Every sample, field and value has a leading
 replicate axis: replicates smaller than a block share one fold pass in a
 stack, a lone replicate is a stack of one, and a replicate is the same bits
 in any stack.  One kernel, cascade_values, runs the replicates of every
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OverlapArray, psd_factor
-from .util import BudgetError, ValidationError, jackknife_se, logsumexp, map_groups, stack_streams
+from .util import BudgetError, ValidationError, Workspace, jackknife_se, logsumexp, map_groups, stack_streams
 
 # rows x leaves of the deepest level folded per block; of 8k, 16k, 32k and 64k
 # cells, 32k gave the fastest Phi-MC replicates (see CHANGES.md)
@@ -77,11 +79,6 @@ def _pd_weights(rng, zeta, shape_rows, k, out=None):
     return np.subtract(log_w, log_w.max(), out=log_w)
 
 
-def _take(ws):
-    """ws.take, or fresh arrays without a Workspace."""
-    return ws.take if ws is not None else lambda key, shape: np.empty(shape)
-
-
 def _log_sum_children(t, out):
     """Per parent, the log-sum-exp over its children on the last axis,
     shifted by its own largest child; the shifted terms go to out, which
@@ -105,10 +102,10 @@ def _children(values, log_w, out):
     return np.add(v, _rows_to(log_w, v.ndim), out=v if out is values else out)
 
 
-def _fold(log_atoms, *term_lists, power=1.0, ws=None):
-    """Bottom-up log sums, one list per term list: entry q is (R, ..., K**q),
-    per depth-q node the log of the sum over the leaves below it of the
-    atoms to the given power and exp(terms) beneath it.
+def _fold(log_atoms, terms, ws, power=1.0):
+    """Bottom-up log sums: entry q is (R, ..., K**q), per depth-q node the
+    log of the sum over the leaves below it of the atoms to the given power
+    and exp(terms) beneath it.
 
     log_atoms[p] is (R, K**p, K) for a stack of R replicates; the terms lead
     with the same replicate axis, and the rows of the terms follow it.
@@ -121,67 +118,58 @@ def _fold(log_atoms, *term_lists, power=1.0, ws=None):
     array beyond the atoms is held.  A block has at most FOLD_BLOCK_CELLS
     replicates times rows times leaves, the rows read off the in-memory
     terms, and at least one parent.  A source's block is used once, and the
-    fold sums into it; the other block sums run in the buffer "scratch" of a
-    Workspace ws if given.
+    fold sums into it; the other block sums run in the buffer "scratch" of
+    the Workspace ws.
     """
-    take = _take(ws)
     deepest = log_atoms[-1]
     n_parents, k = deepest.shape[-2:]
-    rows = max(
-        (math.prod(t.shape[:-1]) for terms in term_lists for t in terms if isinstance(t, np.ndarray)),
-        default=deepest.shape[0],
-    )
+    rows = max((math.prod(t.shape[:-1]) for t in terms if isinstance(t, np.ndarray)), default=deepest.shape[0])
     step = max(1, FOLD_BLOCK_CELLS // (rows * k))
-    blocks = [[] for _ in term_lists]
+    source = terms[-1]
+    done = []
     for lo in range(0, n_parents, step):
         hi = min(lo + step, n_parents)
         log_w = deepest[..., lo:hi, :]
         if power != 1.0:
-            log_w = np.multiply(log_w, power, out=take("atoms_power", log_w.shape))
-        for terms, done in zip(term_lists, blocks):
-            source = terms[-1]
-            if source is None:
-                done.append(_log_sum_children(log_w, take("scratch", log_w.shape)))
-                continue
-            if callable(source):
-                block = source(lo, hi)
-                t = _children(block, log_w, block)
-            else:
-                block = source[..., lo * k : hi * k]
-                scratch = take("scratch", block.shape[:-1] + log_w.shape[-2:])
-                t = _children(block, log_w, scratch)
-            done.append(_log_sum_children(t, t))
-    folds = []
-    for terms, done in zip(term_lists, blocks):
-        sums = [None] * (len(log_atoms) - 1) + [done[0] if len(done) == 1 else np.concatenate(done, axis=-1)]
-        for p in range(len(log_atoms) - 2, -1, -1):
-            log_w = log_atoms[p] if power == 1.0 else power * log_atoms[p]
-            t = _children(sums[p + 1], log_w, None)
-            if terms[p] is not None:
-                own = terms[p].reshape(terms[p].shape[:-1] + log_w.shape[-2:])
-                ndim = max(own.ndim, t.ndim)
-                t = _rows_to(own, ndim) + _rows_to(t, ndim)
-            sums[p] = _log_sum_children(t, t)
-        folds.append(sums)
-    return folds
+            log_w = np.multiply(log_w, power, out=ws.take("atoms_power", log_w.shape))
+        if source is None:
+            done.append(_log_sum_children(log_w, ws.take("scratch", log_w.shape)))
+            continue
+        if callable(source):
+            block = source(lo, hi)
+            t = _children(block, log_w, block)
+        else:
+            block = source[..., lo * k : hi * k]
+            t = _children(block, log_w, ws.take("scratch", block.shape[:-1] + log_w.shape[-2:]))
+        done.append(_log_sum_children(t, t))
+    sums = [None] * (len(log_atoms) - 1) + [done[0] if len(done) == 1 else np.concatenate(done, axis=-1)]
+    for p in range(len(log_atoms) - 2, -1, -1):
+        log_w = log_atoms[p] if power == 1.0 else power * log_atoms[p]
+        t = _children(sums[p + 1], log_w, None)
+        if terms[p] is not None:
+            own = terms[p].reshape(terms[p].shape[:-1] + log_w.shape[-2:])
+            ndim = max(own.ndim, t.ndim)
+            t = _rows_to(own, ndim) + _rows_to(t, ndim)
+        sums[p] = _log_sum_children(t, t)
+    return sums
 
 
 @dataclass(frozen=True)
 class CascadeSample:
-    """A stack of R sampled truncated cascades: the per-level log atoms.
+    """A stack of R sampled truncated cascades: the per-level log atoms and
+    their log subtree masses.
 
     log_atoms[p] is the (R, K**p, K) array of log u over the children of
     the depth-p nodes, replicate first, each replicate's level shifted by
-    its largest atom.
+    its largest atom.  log_mass[q] is (R, K**q), the atoms-only fold: the
+    log subtree mass of every depth-q node.
     """
 
     spec: CascadeSpec
     log_atoms: tuple
+    log_mass: tuple
     # the Workspace whose buffers hold the atoms, and in which the folds run
-    ws: object = field(default=None, repr=False, compare=False)
-    # the atoms-only fold (entry q the (R, K**q) log subtree masses), set
-    # by the first fold that needs it
-    _log_mass: list = field(default=None, init=False, repr=False, compare=False)
+    ws: Workspace = field(repr=False, compare=False)
 
     @property
     def r(self):
@@ -195,29 +183,16 @@ class CascadeSample:
     def n_leaves(self):
         return self.k**self.r
 
-    def log_masses(self):
-        """The atoms-only fold: entry q is (R, K**q), the log subtree mass
-        of every depth-q node."""
-        if self._log_mass is None:
-            (mass,) = _fold(self.log_atoms, [None] * self.r, ws=self.ws)
-            object.__setattr__(self, "_log_mass", mass)
-        return self._log_mass
-
     def log_mean_exp(self, terms):
         """log sum_leaf v_leaf exp(sum_p terms[p] at the leaf's depth p+1 node)
         for the normalized leaf weights v, per leading index of the terms.
 
         terms[p] is (R, ..., K**(p+1)) over the depth p+1 nodes, and the deepest
         entry may instead be a block source (see _fold), which streams that
-        level.  The first call folds the normalization in the same loop.
+        level.
         """
-        if self._log_mass is None:
-            sums, mass = _fold(self.log_atoms, terms, [None] * self.r, ws=self.ws)
-            object.__setattr__(self, "_log_mass", mass)
-        else:
-            (sums,) = _fold(self.log_atoms, terms, ws=self.ws)
-        top = sums[0][..., 0]
-        return top - _rows_to(self._log_mass[0][..., 0], top.ndim)
+        top = _fold(self.log_atoms, terms, self.ws)[0][..., 0]
+        return top - _rows_to(self.log_mass[0][..., 0], top.ndim)
 
     def draw_leaves(self, u):
         """Leaves of a stack of one by inverse CDF down the tree, one per
@@ -230,7 +205,7 @@ class CascadeSample:
         weights) returns for the same rng.random uniforms, up to rounding at
         the interval ends, without the K**r weights or their cumsum.
         """
-        mass = [m[0] for m in self.log_masses()]
+        mass = [m[0] for m in self.log_mass]
         k = self.k
         u = np.array(u, dtype=float)
         rows = np.arange(u.size)
@@ -247,34 +222,22 @@ class CascadeSample:
             node = node * k + child
         return node
 
-    def leaf_digits(self, indices):
-        """Base-K digit paths (depth-major) for flat leaf indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        digits = np.empty(indices.shape + (self.r,), dtype=np.int64)
-        rest = indices
-        for p in range(self.r - 1, -1, -1):
-            digits[..., p] = rest % self.k
-            rest = rest // self.k
-        return digits
-
     def common_depth(self, indices):
-        """Pairwise ancestor depth alpha ^ alpha' for an index vector."""
-        digits = self.leaf_digits(indices)
-        same = digits[:, None, :] == digits[None, :, :]
-        prefix = np.cumprod(same, axis=2)
-        depth = prefix.sum(axis=2)
-        return depth
+        """Pairwise meet depth alpha ^ alpha' for an index vector: the count
+        of depths q >= 1 at which the two leaves' ancestors leaf // K**(r-q)
+        agree (an ancestor shared at depth q is shared at every depth above)."""
+        ancestors = np.asarray(indices, dtype=np.int64)[:, None] // self.k ** np.arange(self.r - 1, -1, -1)
+        return (ancestors[:, None, :] == ancestors[None, :, :]).sum(axis=-1)
 
     def pair_coincidence_masses(self):
         """sum over pairs with meet depth p of v_a v_a', for p = 0..r (last
         axis, after the replicate axis): the squared subtree masses at depth
         q fold the doubled atoms above q."""
-        log_mass = self.log_masses() + [None]  # a leaf's is log 1
+        log_mass = self.log_mass + (None,)  # a leaf's is log 1
         subtree_sq = [np.ones(self.log_atoms[0].shape[:-2])]
         for q in range(1, self.r + 1):
             bottom = None if log_mass[q] is None else 2.0 * log_mass[q]
-            (sums,) = _fold(self.log_atoms[:q], [None] * (q - 1) + [bottom], power=2.0, ws=self.ws)
-            folded = sums[0][..., 0]
+            folded = _fold(self.log_atoms[:q], [None] * (q - 1) + [bottom], self.ws, power=2.0)[0][..., 0]
             subtree_sq.append(np.exp(folded - 2.0 * log_mass[0][..., 0]))
         a = np.stack(subtree_sq, axis=-1)
         return np.concatenate([-np.diff(a, axis=-1), a[..., -1:]], axis=-1)
@@ -290,16 +253,17 @@ def sample_cascade(spec, rng, ws=None):
 
     rng is a sequence of Generators, replicate j drawn from rng[j] as it
     would be in any stack, or one Generator for a stack of one.  With a
-    Workspace ws the atoms are drawn into its buffers.
+    Workspace ws the atoms are drawn into its buffers, and otherwise into a
+    new one.  The subtree masses are folded once, here.
     """
     k = spec.atoms_per_level
     rngs = _generators(rng)
-    take = _take(ws)
-    levels = tuple(take(("atoms", p), (len(rngs), k**p, k)) for p in range(spec.r))
+    ws = ws or Workspace()
+    levels = tuple(ws.take(("atoms", p), (len(rngs), k**p, k)) for p in range(spec.r))
     for j, g in enumerate(rngs):
         for p, x in enumerate(spec.x):
             _pd_weights(g, x, k**p, k, out=levels[p][j])
-    return CascadeSample(spec, levels, ws)
+    return CascadeSample(spec, levels, tuple(_fold(levels, [None] * spec.r, ws)), ws)
 
 
 def level_factors(cov_increments):
@@ -332,7 +296,7 @@ def level_field_source(sample, factors, rng, n_copies=1, ws=None, key="fields"):
     if len(factors) != sample.r:
         raise ValidationError("need one covariance increment per level")
     rngs = _generators(rng)
-    take = _take(ws)
+    take = ws.take if ws is not None else lambda key, shape: np.empty(shape)
 
     def draw(p, n_nodes, name):
         factor = factors[p]

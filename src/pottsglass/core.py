@@ -224,10 +224,6 @@ class MonotonePath:
         p = int(np.searchsorted(self.xs[1:], x, side="left"))
         return self.gammas[min(p, self.r)]
 
-    def hs_sq_integral(self):
-        """Exact integral of the squared Hilbert-Schmidt norm over [0, 1]."""
-        return float(hs_sq_integral(self.xs, self.gammas))
-
     def increment_covariances(self):
         """(r, kappa, kappa): covariance 2 (gamma_p - gamma_{p-1}) of the
         level-p Gaussian vector, p = 1..r."""

@@ -32,7 +32,7 @@ from pottsglass.cli import main
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.diagnostics import interpolation_curve
 from pottsglass.functional import eval_phi_cascade_mc
-from pottsglass.util import BudgetError, logsumexp, stream
+from pottsglass.util import BudgetError, logsumexp, stack_streams, stream
 
 LEVELS = {1: (0.4,), 2: (0.3, 0.7), 3: (0.2, 0.5, 0.8)}
 # parents per block: one, two shapes that divide neither 7**(r-1) nor
@@ -129,7 +129,7 @@ def test_array_terms_and_masses_are_bitwise_the_in_memory_fold(r, step, monkeypa
     set_step(monkeypatch, step, 6, k)
     got = sample.log_mean_exp(terms)
     assert np.array_equal(got[0], reference_log_mean_exp(sample, [t[0] for t in terms]))
-    # a second call reuses the normalization of the first
+    # a second fold in the sample's buffers gives the same bits
     assert np.array_equal(sample.log_mean_exp(terms), got)
     fresh = sample_cascade(CascadeSpec(LEVELS[r], atoms_per_level=k), seeded(53, r))
     atoms = [log_w[0] for log_w in fresh.log_atoms]
@@ -142,6 +142,24 @@ def test_array_terms_and_masses_are_bitwise_the_in_memory_fold(r, step, monkeypa
         subtree_sq.append(float(np.exp(folded - 2.0 * mass[0][0])))
     a = np.asarray(subtree_sq)
     assert np.array_equal(fresh.pair_coincidence_masses()[0], np.append(-np.diff(a), a[-1]))
+
+
+@pytest.mark.parametrize("step", STEPS)
+@pytest.mark.parametrize("stack", [1, 2, 7])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_sample_masses_are_bitwise_the_in_memory_fold(r, stack, step, monkeypatch):
+    # blocks of `step` parents for the stack, of `stack` times as many alone
+    k = 7 if r == 3 else 13
+    spec = CascadeSpec(LEVELS[r], atoms_per_level=k)
+    set_step(monkeypatch, step, stack, k)
+    sample = sample_cascade(spec, stack_streams(range(stack), 58, r))
+    assert len(sample.log_mass) == r
+    for j in range(stack):
+        atoms = [log_w[j] for log_w in sample.log_atoms]
+        alone = sample_cascade(spec, stack_streams([j], 58, r))
+        for q, expected in enumerate(reference_fold(atoms, [None] * r)):
+            assert np.array_equal(sample.log_mass[q][j], expected)
+            assert np.array_equal(alone.log_mass[q][0], expected)
 
 
 def test_interpolation_curve_does_not_depend_on_the_block(monkeypatch):

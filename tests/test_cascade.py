@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -74,15 +76,30 @@ class TestSampleCascade:
         w = np.exp(oracle_log_leaf_weights(spec, seeded(1, 1)))
         np.testing.assert_allclose(w, products / products.sum(), rtol=1e-13)
         # the atoms-only fold is the log of the same normalization
-        assert s.log_masses()[0][0, 0] == pytest.approx(np.log(products.sum()), rel=1e-13)
+        assert s.log_mass[0][0, 0] == pytest.approx(np.log(products.sum()), rel=1e-13)
+
+
+def leaf_digits(leaf, k, r):
+    """Base-K digit path (depth-major) of a flat leaf index."""
+    digits = []
+    for _ in range(r):
+        leaf, digit = divmod(leaf, k)
+        digits.append(digit)
+    return digits[::-1]
 
 
 class TestLeafStructure:
-    def test_leaf_digits_mixed_radix(self):
-        spec = CascadeSpec((0.3, 0.6), atoms_per_level=3)
-        s = sample_cascade(spec, seeded(3, 0))
-        np.testing.assert_array_equal(s.leaf_digits(np.array([0, 1, 3, 8])),
-                                      [[0, 0], [0, 1], [1, 0], [2, 2]])
+    def test_common_depth_matches_digit_oracle(self):
+        assert [leaf_digits(i, 3, 2) for i in (0, 1, 3, 8)] == [[0, 0], [0, 1], [1, 0], [2, 2]]
+        rng = seeded(3, 1)
+        for r, k in itertools.product((1, 2, 3), (2, 7)):
+            s = sample_cascade(CascadeSpec((0.2, 0.5, 0.8)[:r], atoms_per_level=k), rng)
+            leaves = rng.integers(0, k**r, size=12)
+            digits = [leaf_digits(int(i), k, r) for i in leaves]
+            expected = [
+                [next((q for q in range(r) if a[q] != b[q]), r) for b in digits] for a in digits
+            ]
+            np.testing.assert_array_equal(s.common_depth(leaves), expected)
 
     def test_common_depth(self):
         spec = CascadeSpec((0.3, 0.6), atoms_per_level=3)

@@ -9,6 +9,7 @@ from pottsglass.core import (
     StateDistribution,
     as_multipliers,
     check_paths,
+    hs_sq_integral,
     path_delta,
     psd_factor,
     round_distribution,
@@ -131,14 +132,14 @@ class TestMonotonePath:
     def test_hs_integral_one_step(self):
         d = StateDistribution(np.array([0.5, 0.5]))
         p = MonotonePath.one_step(d, 0.25)
-        assert p.hs_sq_integral() == pytest.approx(0.75 * 0.5, abs=1e-15)
+        assert hs_sq_integral(p.xs, p.gammas) == pytest.approx(0.75 * 0.5, abs=1e-15)
 
     def test_hs_telescoped_matches_integral_form(self):
         rng = seeded(24, 1)
         d = StateDistribution(np.array([0.5, 0.3, 0.2]))
         for r in (1, 2, 3):
             p = random_path(rng, d, r)
-            expected = float(np.sum(d.d**2)) - p.hs_sq_integral()
+            expected = float(np.sum(d.d**2)) - hs_sq_integral(p.xs, p.gammas)
             assert p.hs_telescoped() == pytest.approx(expected, abs=1e-14)
             assert p.hs_increments().sum() == pytest.approx(float(np.sum(d.d**2)), abs=1e-14)
 

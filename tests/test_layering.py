@@ -1,8 +1,9 @@
 """Static layering rules of the package, read from the source with ast:
 no module imports another module's private names, the intra-package
 import graph has no cycle, the sampling layers sit on core and util, the
-one log-sum-exp is util's, no module imports scipy, and every public
-function and class has a caller that is not a unit test."""
+one log-sum-exp is util's, no module imports scipy, every public
+function and class has a caller that is not a unit test, and frozen types
+are written only while they are validated."""
 
 import ast
 import os
@@ -142,3 +143,26 @@ def test_every_public_name_has_a_caller():
         )
     ]
     assert unused == []
+
+
+def setattr_owners(tree):
+    """The innermost function (None at module level) around each
+    object.__setattr__ call in a module's syntax tree."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__":
+                owners.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, None)
+    return owners
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_frozen_types_are_set_only_in_post_init(module):
+    # core promises that its frozen types are immutable after validation and
+    # safe to share across threads
+    owners = setattr_owners(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    assert [owner for owner in owners if owner != "__post_init__"] == []
