@@ -8,10 +8,17 @@ after it).  Each pair runs ``bench/run.py --trace 0`` once in each checkout,
 the first run of the pair alternating between the two, so a drift in machine
 speed falls on both sides.  The last JSON line of every run is kept as it is;
 the summary gives, per end-to-end metric, both medians, the quartile range
-of the ``before`` runs, their ratio and how many pairs ``after`` won.  Each
-run also keeps the seconds of every op from its ``op`` lines, one per pass,
-under ``op_seconds``; ``op_medians`` gives, per op, the median over all
-passes of each side and their ratio, which shows which op moved.  Every
+of the ``before`` runs, their ratio, how many pairs ``after`` won (ties
+count for neither side) and two verdicts.  ``gain_holds`` is true when
+``after`` won at least nine tenths of the pairs and its median is better by
+more than the ``before`` quartile range.  ``within_bound`` is true when the
+``after`` median is no worse than the ``before`` median by more than the
+metric's ``bound`` in BENCHMARK.json, read as a fraction of the ``before``
+median (null for a metric without a bound).  Each run also keeps the
+seconds of every op from its ``op`` lines, one per pass, under
+``op_seconds``; ``op_medians`` gives, per op, the median over all passes of
+each side, their ratio and how many pairs ``after`` won on the median of
+its passes, which shows which op moved.  Every
 timed run lasts the ``run_seconds`` of BENCHMARK.json.  With
 ``--trace`` one ``--trace 1`` run per checkout adds the per-layer metrics.
 Results are keyed by workload and seed, and an existing output file gains or
@@ -50,38 +57,54 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def summarise(pairs, better):
-    """Per metric: medians, the before runs' quartile range, after/before and wins."""
+def wins(before, after, lower):
+    """The pairs whose after value is strictly better; ties count for neither."""
+    return sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+
+
+def summarise(pairs, better, bounds):
+    """Per metric: medians, the before runs' quartile range, after/before,
+    wins and the two verdicts."""
     out = {}
     for name in pairs[0]["before"]["metrics"]:
         side = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
         lower = better.get(name, "lower") == "lower"
-        wins = sum((a < b) if lower else (a > b) for b, a in zip(side["before"], side["after"]))
+        won = wins(side["before"], side["after"], lower)
         q1, q3 = quartiles(side["before"])
         med = {s: statistics.median(side[s]) for s in SIDES}
+        gain = (med["before"] - med["after"]) if lower else (med["after"] - med["before"])
+        bound = bounds.get(name)
         out[name] = {
             "before_median": med["before"],
             "after_median": med["after"],
             "after_over_before": med["after"] / med["before"] if med["before"] else None,
             "before_iqr": q3 - q1,
-            "after_wins": wins,
+            "after_wins": won,
             "pairs": len(pairs),
+            "gain_holds": 10 * won >= 9 * len(pairs) and gain > q3 - q1,
+            "within_bound": None if bound is None else -gain <= bound * abs(med["before"]),
         }
     return out
 
 
 def op_medians(pairs):
-    """Per op: the median seconds over every pass of each side, and after/before."""
+    """Per op: the median seconds over every pass of each side, after/before,
+    and the pairs in which the median of after's passes was the lower."""
     out = {}
     for name in pairs[0]["before"]["op_seconds"]:
-        med = {
-            s: statistics.median(t for p in pairs for t in p[s]["op_seconds"].get(name, []))
-            for s in SIDES
-        }
+        per_pair = [{s: p[s]["op_seconds"].get(name, []) for s in SIDES} for p in pairs]
+        med = {s: statistics.median(t for p in per_pair for t in p[s]) for s in SIDES}
+        timed = [p for p in per_pair if p["before"] and p["after"]]
         out[name] = {
             "before_median_s": med["before"],
             "after_median_s": med["after"],
             "after_over_before": med["after"] / med["before"] if med["before"] else None,
+            "after_wins": wins(
+                [statistics.median(p["before"]) for p in timed],
+                [statistics.median(p["after"]) for p in timed],
+                True,
+            ),
+            "pairs": len(timed),
         }
     return out
 
@@ -99,6 +122,7 @@ def main(argv=None):
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     checkout = {"before": args.before, "after": args.after}
 
     pairs, machine = [], None
@@ -114,7 +138,7 @@ def main(argv=None):
         "seed": args.seed,
         "seconds": seconds,
         "machine": machine,
-        "summary": summarise(pairs, better),
+        "summary": summarise(pairs, better, bounds),
         "op_medians": op_medians(pairs),
         "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
         "runs": pairs,

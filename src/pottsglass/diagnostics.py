@@ -3,6 +3,7 @@ moment identities for overlap arrays, block synchronization with the trace,
 interpolation monotonicity, and the duality gap of the constrained bound."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .model import (
     perturbation_covariance,
     quadratic_forms,
 )
-from .util import ValidationError, jackknife_se, logsumexp, map_groups, map_indexed, stack_streams, stream
+from .util import ValidationError, jackknife_se, logsumexp, map_groups, stack_streams, stream
 
 
 def _gg_samples(array_samples, f, n, q_fn):
@@ -47,16 +48,24 @@ def _gg_residual_of(columns, n):
     return means[1] - means[0] * means[2] / n - cross / n
 
 
+@lru_cache(maxsize=1)
+def _bootstrap_indices(seed, n_boot, m):
+    """The (n_boot, m) read-only resampling indices of the bootstrap over m
+    arrays, row b drawn from stream(seed, 0xB007, b).  The residuals of one
+    diag-gg call resample the same arrays, so they share one table, held in
+    the smallest integer type that fits since the cache keeps it."""
+    idx = np.empty((n_boot, m), dtype=np.min_scalar_type(m - 1))
+    for b in range(n_boot):
+        idx[b] = stream(seed, 0xB007, b).integers(0, m, size=m)
+    idx.flags.writeable = False
+    return idx
+
+
 def _bootstrap_se(columns, n, n_boot, seed):
     """Bootstrap standard deviation of the signed residual: that of its
     absolute value is smaller and would bias the error low."""
-    m = columns.shape[0]
-
-    def one(b):
-        idx = stream(seed, 0xB007, b).integers(0, m, size=m)
-        return _gg_residual_of(columns[idx], n)
-
-    vals = np.asarray(map_indexed(one, n_boot))
+    idx = _bootstrap_indices(seed, n_boot, columns.shape[0])
+    vals = np.array([_gg_residual_of(columns[rows], n) for rows in idx])
     return float(vals.std(ddof=1))
 
 

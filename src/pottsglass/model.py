@@ -19,6 +19,10 @@ ENUM_BUDGET = 20_000_000  # label cells (class size x N) of an enumerated config
 # 2^14 to 2^17, the largest that keeps 200 stacked N = 10 draws under the
 # 1 MB traced peak of the whole-class enumeration (see CHANGES.md)
 ENUM_CELLS = 2**15
+# Gaussian cells an MCMC run or an ass-check holds at once (64 MiB of floats),
+# checked before any draw: draws x N^2 couplings (and the MCMC run's
+# draws x rungs x kappa x N local fields), or draws x N^2 coupling samples
+DRAW_BUDGET = 2**23
 
 
 @dataclass(frozen=True)
@@ -377,15 +381,24 @@ def _tempered_ladders(s_sum, counts, beta_grid, sweeps, burn, rngs):
     sweep, every draw takes its proposals (N, 2, R), Metropolis uniforms
     (N, R) and exchange uniforms (R - 1,) from its own generator, so a draw
     evolves as it would alone.  A move is accepted when
-    u < exp(min(beta dH, 0)); then neighbouring rungs exchange configurations
-    by the same rule with (beta_{r+1} - beta_r)(H_r - H_{r+1}).
+    u < exp(min(beta dH, 0)), that is u < exp(beta dH) since u < 1; then
+    neighbouring rungs exchange configurations by the same rule with
+    (beta_{r+1} - beta_r)(H_r - H_{r+1}).
+
+    Configurations stay in their slots and rungs trade slots (Hukushima &
+    Nemoto 1996): slot[r, d] is the slot whose labels and fields sit at rung
+    r of draw d, and an exchange swaps two rungs' slots and energies, not
+    their configurations.  A sweep turns its proposals into flat positions
+    through the slots once.  A step then reads the labels at sites
+    (j, i, i, j), which are (b, a, a, b), in one gather and the four fields of
+    dH in a second, and updates labels and field rows of the accepted moves
+    through 1-D indices.  Energy changes are kept per step and added to the
+    energies in step order at the end of the sweep, which is where the
+    exchanges first read them.
     """
     n_draw, n, _ = s_sum.shape
     kappa, n_rung = counts.size, beta_grid.size
     n_chain = n_draw * n_rung
-    chain = np.arange(n_chain)
-    draw = chain // n_rung
-    beta = np.tile(beta_grid, n_draw)
     sqrt_n = np.sqrt(n)
     start = np.repeat(np.arange(kappa), counts)
     labels = np.concatenate([rng.permuted(np.tile(start, (n_rung, 1)), axis=1) for rng in rngs])
@@ -395,65 +408,103 @@ def _tempered_ladders(s_sum, counts, beta_grid, sweeps, burn, rngs):
     fields = np.einsum("drkm,dmn->drkn", one_hot.reshape(n_draw, n_rung, kappa, n), s_sum)
     fields = fields.reshape(n_chain, kappa, n)
     energy = np.take_along_axis(fields, labels[:, None, :], axis=1).sum(axis=(1, 2)) / (2.0 * sqrt_n)
-    # flat views: labels[c, i] is flat_labels[c N + i], fields[c, k, i] is
-    # flat_fields[c kappa N + k N + i] = field_rows[c kappa + k, i], and
-    # s_sum[d, i, j] is s_rows[d N + i, j]
-    flat_labels, flat_fields = labels.reshape(-1), fields.reshape(-1)
-    field_rows, s_rows = fields.reshape(n_chain * kappa, n), s_sum.reshape(n_draw * n, n)
-    label_start, field_start, s_start = chain * n, chain * (kappa * n), draw * n
-    label_offset = np.arange(kappa) * n
+    # slot d R + r starts with rung r of draw d.  Flat views: label k at
+    # site i of slot c is held as k N at flat_labels[c N + i], so that
+    # fields[c, k, i] is flat_fields[c kappa N + k N + i], in row c kappa + k
+    # of field_rows; s_sum[d, i, j] is s_rows[d N + i, j]
+    flat_labels = (labels * n).reshape(-1)
+    flat_fields, field_rows = fields.reshape(-1), fields.reshape(n_chain * kappa, n)
+    flat_s, s_rows = s_sum.reshape(-1), s_sum.reshape(n_draw * n, n)
     s_diag = np.diagonal(s_sum, axis1=1, axis2=2).ravel()
-    rung_labels = labels.reshape(n_draw, n_rung, n)
-    rung_fields = fields.reshape(n_draw, n_rung, kappa, n)
-    rung_energy = energy.reshape(n_draw, n_rung)
-    total = np.zeros((n_draw, n_rung))
+    row_of = np.repeat(np.arange(n_chain * kappa), n)  # a flat field position's row
+    # rung-major from here: a step's chain c is rung c // D of draw c % D,
+    # and slot[r, d] the slot of rung r of draw d
+    slot = np.arange(n_chain).reshape(n_draw, n_rung).T.copy()
+    rung_energy = energy.reshape(n_draw, n_rung).T.copy()
+    beta = np.repeat(beta_grid, n_draw)
+    s_start = np.tile(np.arange(n_draw) * n, 2 * n_rung)
+    d_beta = beta_grid[1:] - beta_grid[:-1]
+    total = np.zeros((n_rung, n_draw))
     moves = np.zeros(n_chain, dtype=np.int64)
-    exchanges = np.zeros((n_draw, n_rung - 1), dtype=np.int64)
-    for sweep in range(burn + sweeps):
-        drawn = [(rng.integers(0, n, size=(n, 2, n_rung)), rng.random((n, n_rung)),
-                  rng.random(n_rung - 1)) for rng in rngs]
-        pairs = np.stack([p for p, _, _ in drawn], axis=2).reshape(n, 2, n_chain)
-        uniforms = np.stack([u for _, u, _ in drawn], axis=1).reshape(n, n_chain)
-        exchange_u = np.stack([x for _, _, x in drawn])
-        site_i, site_j = pairs[:, 0], pairs[:, 1]
-        at_i, at_j = label_start + site_i, label_start + site_j
-        field_i, field_j = field_start + site_i, field_start + site_j
-        row_i, row_j = s_start + site_i, s_start + site_j
-        own = s_diag[row_i] + s_diag[row_j] - 2.0 * s_rows[row_i, site_j]
-        for t in range(n):
-            a, b = flat_labels[at_i[t]], flat_labels[at_j[t]]
-            an, bn = label_offset[a], label_offset[b]
-            fi, fj = field_i[t], field_j[t]
-            dh = (flat_fields[fi + bn] - flat_fields[fi + an] + flat_fields[fj + an]
-                  - flat_fields[fj + bn] + own[t]) / sqrt_n
-            move = (uniforms[t] < np.exp(np.minimum(beta * dh, 0.0))) & (a != b)
-            moves += move
-            c = move.nonzero()[0]
-            if c.size:
-                ac, bc = a[c], b[c]
-                flat_labels[at_i[t][c]] = bc
-                flat_labels[at_j[t][c]] = ac
-                delta = s_rows[row_j[t][c]] - s_rows[row_i[t][c]]
-                field_rows[c * kappa + ac] += delta
-                field_rows[c * kappa + bc] -= delta
-                energy[c] += dh[c]
-        for r in range(n_rung - 1):
-            log_acc = (beta_grid[r + 1] - beta_grid[r]) * (rung_energy[:, r] - rung_energy[:, r + 1])
-            swap = exchange_u[:, r] < np.exp(np.minimum(log_acc, 0.0))
-            exchanges[:, r] += swap
-            for arr in (rung_labels, rung_fields, rung_energy):
-                neighbours = arr[:, r : r + 2]
-                neighbours[swap] = neighbours[swap, ::-1]
-        if sweep >= burn:
-            total += rung_energy
+    exchanges = np.zeros((n_rung - 1, n_draw), dtype=np.int64)
+    swapped = np.empty((n_rung - 1, n_draw), dtype=bool)
+    energy_at, slot_at = list(rung_energy), list(slot)
+    # a sweep's per-step rows: the acceptances twice over, which select both
+    # halves of the (b, a) labels and (i, j) positions, and the energy
+    # changes, after the energies at the start of the sweep (-0.0 where a
+    # move was refused adds nothing to any energy)
+    accepted = np.empty((n, 2 * n_chain), dtype=bool)
+    accept = accepted[:, :n_chain]
+    gains = np.empty((n + 1, n_chain))
+    step_rows = list(zip(accepted, accept, accepted[:, n_chain:], gains[1:]))
+    q0, q1, q2, q3 = (slice(q * n_chain, (q + 1) * n_chain) for q in range(4))
+    with np.errstate(over="ignore"):  # exp(x) = inf for a large x still accepts
+        for sweep in range(burn + sweeps):
+            drawn = [(rng.integers(0, n, size=(n, 2, n_rung)), rng.random((n, n_rung)),
+                      rng.random(n_rung - 1)) for rng in rngs]
+            sites = np.stack([p for p, _, _ in drawn], axis=3).reshape(n, 2 * n_chain)
+            uniforms = np.stack([u for _, u, _ in drawn], axis=2).reshape(n, n_chain)
+            exchange_u = np.stack([x for _, _, x in drawn], axis=1)
+            slots = slot.reshape(-1)
+            put = sites + np.tile(slots * n, 2)  # label positions (i | j)
+            field_base = slots * (kappa * n)
+            field_i, field_j = sites[:, q0] + field_base, sites[:, q1] + field_base
+            look = np.concatenate((put[:, q1], put[:, q0], put), axis=1)
+            field_at = np.concatenate((field_i, field_i, field_j, field_j), axis=1)
+            row = sites + s_start
+            row_i, row_j = row[:, q0], row[:, q1]
+            s_at = np.concatenate((row_j, row_i), axis=1)
+            own = s_diag[row_i] + s_diag[row_j] - 2.0 * flat_s[row_i * n + sites[:, q1]]
+            steps = zip(look, field_at, own, uniforms, put, s_at, step_rows)
+            for look_t, field_t, own_t, u_t, put_t, s_t, (both, move, again, dh) in steps:
+                seen = flat_labels[look_t]
+                where = seen + field_t
+                four = flat_fields[where]
+                np.subtract(four[q0], four[q1], out=dh)
+                dh += four[q2]
+                dh -= four[q3]
+                dh += own_t
+                dh /= sqrt_n
+                np.less(u_t, np.exp(beta * dh), out=move)
+                move &= seen[q0] != seen[q1]
+                again[...] = move
+                sel = both.nonzero()[0]
+                if sel.size:
+                    m = sel.size >> 1
+                    flat_labels[put_t[sel]] = seen[sel]
+                    s = s_rows.take(s_t[sel], axis=0)
+                    delta = s[:m] - s[m:]
+                    field_sel = row_of[where[sel]]
+                    f = field_rows.take(field_sel, axis=0)
+                    f[:m] -= delta
+                    f[m:] += delta
+                    field_rows[field_sel] = f
+            moves += accept.sum(axis=0)
+            np.copyto(gains[1:], -0.0, where=~accept)
+            gains[0] = rung_energy.reshape(-1)
+            np.add.accumulate(gains, axis=0, out=gains)
+            rung_energy[...] = gains[-1].reshape(n_rung, n_draw)
+            for r, (u, swap) in enumerate(zip(exchange_u, swapped)):
+                np.less(u, np.exp(d_beta[r] * (energy_at[r] - energy_at[r + 1])), out=swap)
+                w = swap.nonzero()[0]
+                if w.size:
+                    for rows in (energy_at, slot_at):
+                        lo, hi = rows[r], rows[r + 1]
+                        held = lo[w]
+                        lo[w] = hi[w]
+                        hi[w] = held
+            exchanges += swapped
+            if sweep >= burn:
+                total += rung_energy
     n_sweep = burn + sweeps
+    slots = slot.T.reshape(-1)
     return _Ladders(
-        labels=rung_labels,
-        fields=rung_fields,
-        energy=rung_energy,
-        mean_energy=total / sweeps,
-        move_rate=moves.reshape(n_draw, n_rung) / (n_sweep * n),
-        exchange_rate=exchanges / n_sweep,
+        labels=(flat_labels.reshape(n_chain, n)[slots] // n).reshape(n_draw, n_rung, n),
+        fields=fields[slots].reshape(n_draw, n_rung, kappa, n),
+        energy=rung_energy.T.copy(),
+        mean_energy=total.T.copy() / sweeps,
+        move_rate=moves.reshape(n_rung, n_draw).T.copy() / (n_sweep * n),
+        exchange_rate=exchanges.T.copy() / n_sweep,
     )
 
 
@@ -484,7 +535,8 @@ def mcmc_free_energy(
     and kept sweeps, and ``swap_acceptance`` is the mean of the latter.
     ``energy_drift`` is the largest gap between a chain's tracked energy and
     its Hamiltonian recomputed after the last sweep; above 1e-8 it is a
-    warning.
+    warning.  More than DRAW_BUDGET cells of couplings and local fields raise
+    BudgetError before any draw.
     """
     if kappa != d.kappa:
         raise ValidationError(f"d has {d.kappa} states but kappa is {kappa}")
@@ -496,6 +548,12 @@ def mcmc_free_energy(
         raise ValidationError("burn must be nonnegative")
     if n_beta < 2:
         raise ValidationError("need at least 2 tempering rungs")
+    cells = n_disorder * N * (N + n_beta * kappa)
+    if cells > DRAW_BUDGET:
+        raise BudgetError(
+            f"{n_disorder} draws of {N} sites on {n_beta} rungs hold {cells} cells, above the "
+            f"budget of {DRAW_BUDGET}"
+        )
     counts = d.counts(N)
     beta_grid = np.linspace(0.0, beta, n_beta)
     draws = [DisorderInstance(N, seed, draw=i) for i in range(n_disorder)]
@@ -590,10 +648,15 @@ def ass_covariance_check(N, M, kappa, n_pairs=3, n_draws=10_000, seed=0):
     For sampled configuration pairs, verifies over fresh disorder that the
     local-field covariance is (2N/(N+M)) R, the correction-field covariance is
     (N/(N+M)) sum R^2, and the split H' + sqrt(M) Y reproduces the covariance
-    of the original Hamiltonian exactly.
+    of the original Hamiltonian exactly.  More than DRAW_BUDGET coupling
+    samples (n_draws x N^2) raise BudgetError before any draw.
     """
     if n_draws < 100:
         raise ValidationError("need at least 100 disorder draws")
+    if n_draws * N * N > DRAW_BUDGET:
+        raise BudgetError(
+            f"{n_draws} draws of {N} x {N} couplings exceed the budget of {DRAW_BUDGET} cells"
+        )
     rng = stream(seed, 0xA55)
     pairs = [(np.ones(N, dtype=np.int64), np.ones(N, dtype=np.int64))]
     while len(pairs) < n_pairs:

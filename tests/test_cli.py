@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pottsglass import model
 from pottsglass.cli import (
     _COMMANDS,
     _default_cascade_arrays,
@@ -68,6 +69,21 @@ class TestMainExitCodes:
         code = main(["free-energy", "--N", "20", "--kappa", "3", "--beta", "0",
                      "--samples", "2"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["free-energy", "--method", "mcmc", "--N", "100000"], ["ass-check", "--N", "1000"]],
+        ids=["mcmc", "ass-check"],
+    )
+    def test_draw_budget_is_3_before_any_draw(self, argv, monkeypatch, capsys):
+        # 200 MCMC draws of 10^10 couplings, or 10^4 ass-check draws of 10^6:
+        # every Gaussian of either comes from a model stream
+        def refuse(*key):
+            raise AssertionError(f"stream{key} made before the budget check")
+
+        monkeypatch.setattr(model, "stream", refuse)
+        assert main(argv) == 3
+        assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pottsglass import diagnostics
 from pottsglass.cascade import OverlapArray
 from pottsglass.cli import _default_cascade_arrays
 from pottsglass.core import MonotonePath, StateDistribution
@@ -17,6 +18,7 @@ from pottsglass.model import (
     perturbation_covariance,
 )
 from pottsglass.util import ValidationError, stream
+from test_golden_cli import CALLS, GOLDEN, run
 
 
 def constant_arrays(n_arrays, n, block, diag_block, kappa=2):
@@ -183,3 +185,19 @@ class TestLegendreGap:
         path = MonotonePath.one_step(d, 0.5)
         with pytest.raises(ValidationError):
             legendre_gap(d, path, 0.0, [], [2])
+
+
+def test_diag_gg_residuals_share_one_bootstrap_table(monkeypatch):
+    # the three residuals of one diag-gg call resample the same arrays: 200
+    # index streams are made, not 3 x 200, and the report keeps its bytes
+    made = []
+
+    def counted(*key):
+        made.append(key)
+        return stream(*key)
+
+    monkeypatch.setattr(diagnostics, "stream", counted)
+    diagnostics._bootstrap_indices.cache_clear()
+    out, code = run(CALLS["diag-gg"])
+    assert code == 0 and out == (GOLDEN / "diag-gg.out").read_bytes()
+    assert len(made) == 200 and {key[1] for key in made} == {0xB007}
