@@ -18,6 +18,7 @@ import numpy as np
 from .cascade import CascadeSpec, coincidence_masses, sample_cascade, sample_overlap_array, verify_y_identity
 from .core import MonotonePath, StateDistribution, round_distribution
 from .diagnostics import (
+    bootstrap_indices,
     gg_polynomial_extension_check,
     gg_residual,
     interpolation_curve,
@@ -319,10 +320,12 @@ def _cmd_diag_gg(p):
     kappa, n, seed = p["kappa"], p["n"], p["seed"]
     arrays = _default_cascade_arrays(kappa, p["x"], p["arrays"], p["replicas"], p["atoms"], seed, p["threads"])
     spec = PerturbationSpec(p=1, n=(1,), lambdas=np.ones((1, kappa)) / kappa)
-    res_const = gg_residual(arrays, lambda a: 1.0, n, spec, seed=seed)
-    res_poly = gg_residual(arrays, lambda a: float(a.traces[0, 1]), n, spec, seed=seed)
+    # the three residuals resample the same arrays: one table for the call
+    boot = bootstrap_indices(seed, 200, len(arrays))
+    res_const = gg_residual(arrays, lambda a: 1.0, n, spec, indices=boot)
+    res_poly = gg_residual(arrays, lambda a: float(a.traces[0, 1]), n, spec, indices=boot)
     res_ext = gg_polynomial_extension_check(
-        arrays, lambda forms: float(np.minimum(forms, 0.5).sum()), n, spec, seed=seed
+        arrays, lambda forms: float(np.minimum(forms, 0.5).sum()), n, spec, indices=boot
     )
     return {"constant_f": res_const, "trace_f": res_poly, "extension": res_ext}
 

@@ -3,7 +3,6 @@ moment identities for overlap arrays, block synchronization with the trace,
 interpolation monotonicity, and the duality gap of the constrained bound."""
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,41 +47,44 @@ def _gg_residual_of(columns, n):
     return means[1] - means[0] * means[2] / n - cross / n
 
 
-@lru_cache(maxsize=1)
-def _bootstrap_indices(seed, n_boot, m):
-    """The (n_boot, m) read-only resampling indices of the bootstrap over m
-    arrays, row b drawn from stream(seed, 0xB007, b).  The residuals of one
-    diag-gg call resample the same arrays, so they share one table, held in
-    the smallest integer type that fits since the cache keeps it."""
-    idx = np.empty((n_boot, m), dtype=np.min_scalar_type(m - 1))
-    for b in range(n_boot):
-        idx[b] = stream(seed, 0xB007, b).integers(0, m, size=m)
-    idx.flags.writeable = False
-    return idx
+def bootstrap_indices(seed, n_boot, m):
+    """The (n_boot, m) resampling indices of the bootstrap over m arrays,
+    row b drawn from stream(seed, 0xB007, b).  The residuals of one diag-gg
+    call resample the same arrays, so the call draws one table and hands it
+    to each of them."""
+    return np.array([stream(seed, 0xB007, b).integers(0, m, size=m) for b in range(n_boot)])
 
 
-def _bootstrap_se(columns, n, n_boot, seed):
-    """Bootstrap standard deviation of the signed residual: that of its
-    absolute value is smaller and would bias the error low."""
-    idx = _bootstrap_indices(seed, n_boot, columns.shape[0])
+def _bootstrap_se(columns, n, idx):
+    """Bootstrap standard deviation of the signed residual over the rows of
+    the index table idx: that of its absolute value is smaller and would
+    bias the error low."""
+    if idx.ndim != 2 or idx.shape[1] != columns.shape[0]:
+        raise ValidationError(f"bootstrap table must have {columns.shape[0]} columns")
     vals = np.array([_gg_residual_of(columns[rows], n) for rows in idx])
     return float(vals.std(ddof=1))
 
 
-def gg_residual(array_samples, f, n, spec, n_boot=200, seed=0):
+def gg_residual(array_samples, f, n, spec, n_boot=200, seed=0, indices=None):
     """Moment-identity residual for the covariance functional of a
-    perturbation spec, with bootstrap standard error over arrays."""
+    perturbation spec, with bootstrap standard error over arrays: over the
+    rows of indices, a bootstrap_indices table, or over n_boot rows drawn
+    from seed."""
     cols = _gg_samples(array_samples, f, n, lambda b: perturbation_covariance(spec, b))
-    residual = abs(_gg_residual_of(cols, n))
-    se = _bootstrap_se(cols, n, n_boot, seed)
-    return {"residual": float(residual), "std_error": se, "n_arrays": cols.shape[0], "n": n}
+    return _gg_report(cols, n, n_boot, seed, indices)
 
 
-def gg_polynomial_extension_check(array_samples, phi, n, spec, n_boot=200, seed=0):
+def gg_polynomial_extension_check(array_samples, phi, n, spec, n_boot=200, seed=0, indices=None):
     """Same residual with phi(quadratic forms) replacing the covariance."""
     cols = _gg_samples(array_samples, f=lambda a: 1.0, n=n, q_fn=lambda b: float(phi(quadratic_forms(spec, b))))
+    return _gg_report(cols, n, n_boot, seed, indices)
+
+
+def _gg_report(cols, n, n_boot, seed, indices):
+    if indices is None:
+        indices = bootstrap_indices(seed, n_boot, cols.shape[0])
     residual = abs(_gg_residual_of(cols, n))
-    se = _bootstrap_se(cols, n, n_boot, seed)
+    se = _bootstrap_se(cols, n, indices)
     return {"residual": float(residual), "std_error": se, "n_arrays": cols.shape[0], "n": n}
 
 

@@ -26,7 +26,7 @@ from .core import (
     psd_factor,
 )
 from .model import enumerate_configs
-from .util import BudgetError, ValidationError, jackknife_se, logsumexp
+from .util import BudgetError, ValidationError, jackknife_se, logsumexp, logsumexp_last
 
 FORM_AGREEMENT_TOL = 1e-10
 RANK_TOL = 1e-9  # increment eigenvalues at or below this get no quadrature axis
@@ -83,9 +83,11 @@ def _level_value(inner, logw, x):
     x_b = 0 takes the plain mean c.  Rows with x_b |inner - c| < 1 use
     c + log1p(mean of expm1(x_b (inner - c))) / x_b, whose rounding error
     does not grow as x_b -> 0; the other rows are max-shifted.  The weighted
-    sum of the expm1 terms is one matrix-vector product per path: a BLAS
-    product over more rows may round a row differently, and a path's value
-    must not depend on the batch it is evaluated in.
+    sum of a path's expm1 terms is one matrix-vector product over its near
+    rows: a BLAS product over more rows may round a row differently, and a
+    path's value must not depend on the batch it is evaluated in.  Paths
+    with the same number of near rows share the product shape, so each such
+    group is one stacked product, which makes the same BLAS call per path.
     """
     w = np.exp(logw)
     mean = np.sum(w * inner, axis=-1)
@@ -93,19 +95,20 @@ def _level_value(inner, logw, x):
     live = x != 0.0
     if not live.any():
         return out
-    x_rows = np.broadcast_to(x[:, None], mean.shape)
     dev = x[:, None, None] * (inner - mean[..., None])
     near = (np.max(np.abs(dev), axis=-1) < 1.0) & live[:, None]
     far = ~near & live[:, None]
     if near.any():
         terms = np.expm1(dev[near])
-        ends = np.cumsum(near.sum(axis=1))
-        sums = np.concatenate(
-            [terms[a:b] @ w for a, b in zip(np.concatenate([[0], ends[:-1]]), ends) if b > a]
-        )
-        out[near] = mean[near] + np.log1p(sums) / x_rows[near]
+        counts = near.sum(axis=1)
+        first = np.cumsum(counts) - counts
+        sums = np.empty(len(terms))
+        for c in np.unique(counts[counts > 0]).tolist():
+            rows = first[counts == c][:, None] + np.arange(c)
+            sums[rows] = terms[rows] @ w
+        out[near] = mean[near] + np.log1p(sums) / np.repeat(x, counts)
     if far.any():
-        x_far = x_rows[far]
+        x_far = np.repeat(x, far.sum(axis=1))
         out[far] = logsumexp(logw[None, :] + x_far[:, None] * inner[far], axis=1) / x_far
     return out
 
@@ -158,7 +161,7 @@ def _recurse(levels, x_levels, lam_full, beta):
     s = np.zeros((g, 1, kappa))
     for nodes, _ in levels:
         s = (s[:, :, None, :] + nodes[:, None, :, :]).reshape(g, -1, kappa)
-    value = logsumexp(beta * s + lam_full[:, None, :], axis=2)
+    value = logsumexp_last(beta * s + lam_full[:, None, :])
     for p in reversed(range(len(levels))):
         nodes, logw = levels[p]
         value = _level_value(value.reshape(g, -1, nodes.shape[1]), logw, x_levels[:, p])
@@ -226,8 +229,9 @@ def eval_parisi_rows(lam, d, xs, gammas, beta, quad=None):
         raise ValidationError("distribution does not match the path endpoint")
     lam_full = np.concatenate([lam, np.zeros((lam.shape[0], 1))], axis=1)
     phi, totals = _phi_rows(lam_full, xs[:, 1:-1], increment_covariances(gammas), beta, quad)
-    # np.dot per path: a BLAS dot's rounding may depend on the operand layout
-    lagrange = np.array([np.dot(lam[b], d[b, : kappa - 1]) for b in range(len(phi))])
+    # one BLAS dot per path, as np.dot makes: a product over the stacked rows
+    # could round a row differently
+    lagrange = np.matmul(lam[:, None, :], d[:, : kappa - 1, None])[:, 0, 0]
     value = phi - lagrange - 0.5 * beta**2 * hs_telescoped(xs, gammas)
     rearranged = phi - lagrange - _f2_rows(d, xs, gammas, beta)
     gap = np.abs(value - rearranged)

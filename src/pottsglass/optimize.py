@@ -8,6 +8,7 @@ simplex grid over d.  All starts of all types advance in lockstep, so each
 round evaluates every pending point in one batched objective call.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -90,6 +91,14 @@ class PathParametrization:
         return lam[0], MonotonePath(self.d, xs[0], gammas[0]), 0.0
 
 
+@functools.lru_cache(maxsize=8)  # a run decodes at one or a few kappa
+def _tril_indices(kappa):
+    """np.tril_indices(kappa), read-only: built once, not once per round."""
+    rows, cols = np.tril_indices(kappa)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _decode_rows(d, r, thetas):
     """decode for a stack of coordinates: row b of thetas (B, dim) at the
     distribution d[b] of d (B, kappa).  Returns lam (B, kappa-1), the path
@@ -99,7 +108,7 @@ def _decode_rows(d, r, thetas):
     lam = thetas[:, : kappa - 1]
     logits = thetas[:, kappa - 1 : kappa - 1 + r].tolist()
     x = np.sort(np.array([[_expit(v) for v in row] for row in logits]).reshape(n_rows, r), axis=1)
-    rows, cols = np.tril_indices(kappa)
+    rows, cols = _tril_indices(kappa)
     a = np.zeros((n_rows, r - 1, kappa, kappa))
     a[:, :, rows, cols] = thetas[:, kappa - 1 + r :].reshape(n_rows, r - 1, rows.size)
     xs, gammas = path_arrays(d, x, a @ np.swapaxes(a, -1, -2))
@@ -176,19 +185,19 @@ def nelder_mead(x0, maxiter):
     fsim = np.array((yield sim.copy()), dtype=float)
     nfev = n + 1
     # scipy sorts twice here; argsort need not be stable, so both are kept
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    ind = fsim.argsort()
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind, 0)
+    ind = fsim.argsort()
+    fsim = fsim.take(ind, 0)
+    sim = sim.take(ind, 0)
 
     iterations = 1
     converged = False
     while iterations < maxiter:
         if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL
+            np.abs(sim[1:] - sim[0]).max() <= XATOL
+            and np.abs(fsim[0] - fsim[1:]).max() <= FATOL
         ):
             converged = True
             break
@@ -225,9 +234,9 @@ def nelder_mead(x0, maxiter):
                 fsim[1:] = yield sim[1:].copy()
                 nfev += n
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
     return sim[0], np.min(fsim), iterations, nfev, converged
 
 
@@ -239,7 +248,7 @@ def run_lockstep(runs, evaluate):
     requests = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while requests:
-        owners = np.concatenate([np.full(len(p), i) for i, p in requests.items()])
+        owners = np.repeat(list(requests), [len(p) for p in requests.values()])
         values = evaluate(owners, np.concatenate(list(requests.values())))
         pending, start = {}, 0
         for i, points in requests.items():

@@ -1,5 +1,5 @@
 """Shared helpers: counter-based random streams, replicate groups and their
-reused buffers, jackknife, log-sum-exp."""
+reused buffers, jackknife, log-sum-exp over any axes or a short last one."""
 
 import math
 import os
@@ -138,3 +138,44 @@ def logsumexp(a, axis=None):
             out = np.where(finite, out, np.log(np.exp(a).sum(axis=axes, keepdims=True)))
     out = out.squeeze(axis=axes)
     return out[()] if out.ndim == 0 else out
+
+
+# numpy sums a last axis shorter than 8 left to right (longer ones pairwise,
+# eight lanes at a time), so passes over its columns repeat the sum's bits
+SHORT_AXIS = 7
+
+
+def logsumexp_last(a):
+    """logsumexp(a, axis=-1), bit for bit, for a float64 array a.  With at
+    least two dimensions and a last axis of length 2..SHORT_AXIS it makes
+    elementwise passes over the columns: a running maximum, the tie count,
+    the masked exponentials summed left to right and the same non-finite
+    fallback.  A reduction over a few strided entries per row costs more
+    than the entries; other shapes go to logsumexp."""
+    if a.ndim < 2 or not 2 <= a.shape[-1] <= SHORT_AXIS:
+        return logsumexp(a, axis=-1)
+    cols = [a[..., k] for k in range(a.shape[-1])]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.maximum(cols[0], cols[1])
+        for col in cols[2:]:
+            np.maximum(a_max, col, out=a_max)
+        for k, col in enumerate(cols):
+            ties = col == a_max
+            shifted = np.where(ties, -np.inf, col)
+            shifted -= a_max
+            np.exp(shifted, out=shifted)
+            if k == 0:
+                s, m = shifted, ties.astype(float)
+            else:
+                s += shifted
+                m += ties
+        out = np.log1p(s / m)
+        out += np.log(m)
+        out += a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.exp(cols[0])
+            for col in cols[1:]:
+                direct += np.exp(col)
+            out = np.where(finite, out, np.log(direct))
+    return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pottsglass import diagnostics
+from pottsglass import cli, diagnostics, util
 from pottsglass.cascade import OverlapArray
 from pottsglass.cli import _default_cascade_arrays
 from pottsglass.core import MonotonePath, StateDistribution
@@ -197,7 +197,37 @@ def test_diag_gg_residuals_share_one_bootstrap_table(monkeypatch):
         return stream(*key)
 
     monkeypatch.setattr(diagnostics, "stream", counted)
-    diagnostics._bootstrap_indices.cache_clear()
     out, code = run(CALLS["diag-gg"])
     assert code == 0 and out == (GOLDEN / "diag-gg.out").read_bytes()
     assert len(made) == 200 and {key[1] for key in made} == {0xB007}
+
+
+def test_repeated_diag_gg_calls_make_the_same_streams(monkeypatch):
+    # the table belongs to one call, so a second identical call in the same
+    # process draws every stream again: per-call stream counts repeat
+    made = []
+
+    def counted(*key):
+        made.append(key)
+        return stream(*key)
+
+    for module in (util, cli, diagnostics):
+        monkeypatch.setattr(module, "stream", counted)
+    per_call = []
+    for _ in range(2):
+        made.clear()
+        out, code = run(CALLS["diag-gg"])
+        assert code == 0 and out == (GOLDEN / "diag-gg.out").read_bytes()
+        per_call.append(sorted(made))
+    assert len(per_call[0]) > 200 and per_call[0] == per_call[1]
+
+
+def test_given_bootstrap_table_equals_the_seeded_one():
+    arrays = _default_cascade_arrays(2, [0.5], 12, 3, 10, 4)
+    table = diagnostics.bootstrap_indices(4, 30, len(arrays))
+    assert table.shape == (30, len(arrays))
+    f = lambda a: float(a.traces[0, 1])  # noqa: E731
+    seeded = gg_residual(arrays, f, 2, UNIT_SPEC, n_boot=30, seed=4)
+    assert gg_residual(arrays, f, 2, UNIT_SPEC, indices=table) == seeded
+    with pytest.raises(ValidationError, match="columns"):
+        gg_residual(arrays, f, 2, UNIT_SPEC, indices=table[:, :-1])

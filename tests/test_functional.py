@@ -8,7 +8,7 @@ from conftest import random_distribution, random_path, seeded
 from test_fold import oracle_log_leaf_weights
 from pottsglass import functional
 from pottsglass.cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields
-from pottsglass.core import EvalResult, MonotonePath, StateDistribution, psd_factor
+from pottsglass.core import EvalResult, MonotonePath, StateDistribution, hs_telescoped, psd_factor
 from pottsglass.functional import (
     MAX_NODES_PER_DIM,
     RANK_TOL,
@@ -282,6 +282,22 @@ class TestEvalParisi:
         )
 
 
+def reference_level_value(inner, logw, x_p):
+    """One path's level value, inner (m, n): the weighted sum of its near
+    rows' expm1 terms is one matrix-vector product."""
+    w = np.exp(logw)
+    mean = np.sum(w[None, :] * inner, axis=1)
+    if x_p == 0.0:
+        return mean
+    dev = x_p * (inner - mean[:, None])
+    near = np.max(np.abs(dev), axis=1) < 1.0
+    out = np.empty_like(mean)
+    out[near] = mean[near] + np.log1p(np.expm1(dev[near]) @ w) / x_p
+    if not near.all():
+        out[~near] = logsumexp(logw[None, :] + x_p * inner[~near], axis=1) / x_p
+    return out
+
+
 def reference_phi(lam, path, beta, nodes_per_dim=9):
     """The one-path recursion written level by level, as eval_phi ran before
     it gained a batch axis: the kept directions by a mask on the eigenvalues,
@@ -289,26 +305,13 @@ def reference_phi(lam, path, beta, nodes_per_dim=9):
     lam_full = np.append(lam, 0.0)
     levels = [per_call_nodes(cov, nodes_per_dim) for cov in path.increment_covariances()]
 
-    def level_value(inner, logw, x_p):
-        w = np.exp(logw)
-        mean = np.sum(w[None, :] * inner, axis=1)
-        if x_p == 0.0:
-            return mean
-        dev = x_p * (inner - mean[:, None])
-        near = np.max(np.abs(dev), axis=1) < 1.0
-        out = np.empty_like(mean)
-        out[near] = mean[near] + np.log1p(np.expm1(dev[near]) @ w) / x_p
-        if not near.all():
-            out[~near] = logsumexp(logw[None, :] + x_p * inner[~near], axis=1) / x_p
-        return out
-
     def recurse(p, s):
         if p == path.r:
             return logsumexp(beta * s + lam_full, axis=1)
         nodes, logw = levels[p]
         expanded = (s[:, None, :] + nodes[None, :, :]).reshape(-1, path.kappa)
         inner = recurse(p + 1, expanded).reshape(s.shape[0], nodes.shape[0])
-        return level_value(inner, logw, float(path.inner_x[p]))
+        return reference_level_value(inner, logw, float(path.inner_x[p]))
 
     return float(recurse(0, np.zeros((1, path.kappa)))[0])
 
@@ -374,6 +377,44 @@ class TestEvalParisiRows:
         rows = [np.array([[0.5, 0.5], [0.6, 0.4]]), np.array([path.xs] * 2), np.array([path.gammas] * 2)]
         with pytest.raises(ValidationError, match="endpoint"):
             eval_parisi_rows(np.zeros((2, 1)), *rows, 1.0)
+
+
+class TestStackedProducts:
+    """The stacked products of a batch against the per-path products they
+    replace, bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_level_value_with_0_to_m_near_rows(self, kappa):
+        rng = seeded(41, kappa)
+        m = 4
+        _, logw = _gh_grid(9, kappa)
+        x = np.append(rng.uniform(0.2, 0.9, size=2 * (m + 1)), 0.0)
+        inner = np.empty((len(x), m, logw.size))
+        for b, x_b in enumerate(x):
+            n_near = b % (m + 1)  # every count 0..m, twice, then a dead path
+            spread = np.where(np.arange(m) < n_near, 0.1, 20.0) / max(x_b, 0.2)
+            inner[b] = rng.permutation(spread)[:, None] * rng.standard_normal((m, logw.size))
+        out = functional._level_value(inner, logw, x)
+        for b, x_b in enumerate(x):
+            expected = reference_level_value(inner[b], logw, float(x_b))
+            assert out[b].tobytes() == expected.tobytes()
+        # the batch holds paths with 0, some and all rows near
+        dev = x[:, None, None] * (inner - np.sum(np.exp(logw) * inner, axis=-1)[..., None])
+        counts = (np.max(np.abs(dev), axis=-1) < 1.0).sum(axis=1)
+        assert set(counts[:-1].tolist()) == set(range(m + 1))
+
+    @pytest.mark.parametrize("kappa,r", [(2, 1), (3, 1), (4, 1), (3, 2)])
+    def test_lagrange_term_is_the_per_path_dot(self, kappa, r):
+        rng = seeded(42, kappa, r)
+        paths = mixed_paths(rng, kappa, r) * 8
+        lam = rng.uniform(-1.0, 1.0, size=(len(paths), kappa - 1))
+        d = np.array([p.d.d for p in paths])
+        xs, gammas = np.array([p.xs for p in paths]), np.array([p.gammas for p in paths])
+        value, phi, _, _ = eval_parisi_rows(lam, d, xs, gammas, 0.8, QuadratureSpec(nodes_per_dim=5))
+        hs = hs_telescoped(xs, gammas)
+        for b in range(len(paths)):
+            expected = phi[b] - np.dot(lam[b], d[b, : kappa - 1]) - 0.5 * 0.8**2 * hs[b]
+            assert value[b].tobytes() == expected.tobytes()
 
 
 class TestEvalF2:

@@ -288,6 +288,31 @@ class TestBatchInvariance:
                 if path is not None:
                     assert value == eval_parisi(lam, d, path, beta).value
 
+    def test_objective_rows_equal_single_calls_at_kappa_3_r_2(self):
+        # full-rank levels at kappa = 3, r = 2 pass the node budget, so the
+        # first increment keeps 0, 1 or 2 columns of its factor: the batch
+        # mixes rank signatures, a zero state and infeasible rows
+        rng = seeded(8)
+        cols = np.tril_indices(3)[1]
+        batch = []
+        for d in ([1 / 3] * 3, [0.5, 0.3, 0.2], [0.6, 0.4, 0.0]):
+            d = StateDistribution(np.array(d))
+            param = PathParametrization(d, 2)
+            for rank in (0, 1, 2, 2):
+                theta = param.random_start(rng)
+                theta[-param.n_tri :] *= np.where(cols < rank, 0.5, 0.0)
+                batch.append((d, theta))
+            batch.append((d, infeasible_start(d, 2)))
+        d_rows = np.array([d.d for d, _ in batch])
+        for beta in (0.3, 1.3):
+            values, infeasible = optimize._objective_rows(
+                d_rows, 2, beta, np.array([theta for _, theta in batch])
+            )
+            assert infeasible.any() and not infeasible.all()
+            for (d, theta), value in zip(batch, values):
+                alone = optimize._objective_rows(d.d[None], 2, beta, theta[None])[0][0]
+                assert value.tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("kappa,r,mesh", [(2, 1, 6), (2, 2, 2)])
     def test_outer_report_equals_inner_alone(self, kappa, r, mesh):
         config = {"grid_mesh": mesh, "starts": 3, "maxiter": 40}

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from pottsglass import util
-from pottsglass.util import logsumexp, map_indexed
+from pottsglass.util import SHORT_AXIS, logsumexp, logsumexp_last, map_indexed
 
 
 def assert_bitwise(x, y):
@@ -45,6 +45,58 @@ class TestLogSumExp:
     def test_scalar_and_integer_input(self):
         for a in (3.0, [1, 2, 3], np.arange(12).reshape(3, 4)):
             assert_bitwise(logsumexp(a), scipy_logsumexp(a))
+
+
+def left_to_right(cols):
+    total = cols[0]
+    for col in cols[1:]:
+        total = total + col
+    return total
+
+
+class TestLogSumExpLast:
+    """util.logsumexp over the last axis is the oracle of the column passes,
+    bit for bit, at every last-axis length."""
+
+    @pytest.mark.parametrize("kappa", range(1, SHORT_AXIS + 3))
+    def test_random_rows(self, kappa):
+        rng = np.random.default_rng(kappa)
+        for shape in [(1, kappa), (1, 1, kappa), (3, 40, kappa), (250, kappa)]:
+            a = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 40.0], size=shape)
+            assert_bitwise(logsumexp_last(a), logsumexp(a, axis=-1))
+
+    @pytest.mark.parametrize("kappa", range(2, SHORT_AXIS + 3))
+    def test_ties_and_non_finite_entries(self, kappa):
+        rng = np.random.default_rng(100 + kappa)
+        a = np.round(rng.standard_normal((400, kappa)) * 2)
+        a[:100, -1] = a[:100].max(axis=1)  # tied maxima
+        a[100:200][rng.random((100, kappa)) < 0.3] = -np.inf
+        a[200] = -np.inf
+        a[201, 0] = np.inf
+        a[202, -1] = np.nan
+        a[203, :2] = np.inf
+        a[204, 0], a[204, -1] = np.inf, -np.inf
+        a[205, 0], a[205, -1] = -np.inf, np.nan
+        out = logsumexp_last(a)
+        assert_bitwise(out, logsumexp(a, axis=-1))
+        assert out[200] == -np.inf and out[201] == np.inf and np.isnan(out[202])
+
+    @pytest.mark.parametrize("kappa", range(4, SHORT_AXIS + 1))
+    def test_sum_order_is_visible(self, kappa):
+        # with the maximum masked out, kappa - 1 >= 3 terms are summed, so
+        # the order shows in the bits: these rows round differently when
+        # summed right to left, and the passes still match the oracle
+        rng = np.random.default_rng(200 + kappa)
+        a = rng.standard_normal((2000, kappa)) * 30.0
+        out = logsumexp_last(a)
+        assert_bitwise(out, logsumexp(a, axis=-1))
+        terms = [np.exp(a[:, k] - a.max(axis=1)) for k in range(kappa)]
+        terms = [np.where(t == 1.0, 0.0, t) for t in terms]
+        assert np.any(left_to_right(terms) != left_to_right(terms[::-1]))
+
+    def test_one_dimensional_input_goes_to_logsumexp(self):
+        a = np.array([0.5, -1.0, 2.0])
+        assert_bitwise(logsumexp_last(a), logsumexp(a, axis=-1))
 
 
 def recording_pool(sizes):
