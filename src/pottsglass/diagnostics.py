@@ -81,6 +81,7 @@ def gg_polynomial_extension_check(array_samples, phi, n, spec, n_boot=200, seed=
 
 
 def _gg_report(cols, n, n_boot, seed, indices):
+    """The residual report of the moment-identity columns cols."""
     if indices is None:
         indices = bootstrap_indices(seed, n_boot, cols.shape[0])
     residual = abs(_gg_residual_of(cols, n))

@@ -103,7 +103,7 @@ def _level_value(inner, logw, x):
         counts = near.sum(axis=1)
         first = np.cumsum(counts) - counts
         sums = np.empty(len(terms))
-        for c in np.unique(counts[counts > 0]).tolist():
+        for c in set(counts.tolist()) - {0}:
             rows = first[counts == c][:, None] + np.arange(c)
             sums[rows] = terms[rows] @ w
         out[near] = mean[near] + np.log1p(sums) / np.repeat(x, counts)
