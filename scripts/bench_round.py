@@ -148,9 +148,8 @@ def summarise(runs):
                 for r in runs
             )
         entry["after_over_before"] = entry["after"]["s"] / entry["before"]["s"]
-        entry["same_bits"] = all(
-            entry["before"][k] == entry["after"][k] for k in entry["before"] if k not in ("s",)
-        )
+        measured = [k for k in runs[0]["before"][name] if k != "s"]
+        entry["same_bits"] = all(entry["before"][k] == entry["after"][k] for k in measured)
         out[name] = entry
     return out
 
