@@ -9,8 +9,7 @@ to one thread, which measures with that checkout's sources:
 
 - the recursion's log-sum-exp over the state axis on arrays of shape
   (20, 81, 2) (kappa = 2, one level, the ``sandwich`` workload) and
-  (24, 729, 3) (kappa = 3): ``util.logsumexp_last`` where the checkout has
-  it, ``util.logsumexp(a, axis=-1)`` where it does not;
+  (24, 729, 3) (kappa = 3): ``util.logsumexp_last``;
 - ``optimize._objective_rows`` on batches of 10, 20 and 96 kappa = 2, r = 1
   rows at beta = 1, the shapes of a ``sandwich`` round;
 - one ``outer_maximize`` with the ``sandwich`` workload's settings and seed
@@ -99,14 +98,14 @@ def child(checkout, seed):
     import workloads
     from pottsglass import optimize, util
 
-    state_lse = getattr(util, "logsumexp_last", None) or (lambda a: util.logsumexp(a, axis=-1))
     out = {}
     rng = np.random.default_rng(seed)
     for shape in LSE_SHAPES:
         a = rng.standard_normal(shape) * 3.0
         a[..., 0] = np.where(rng.random(shape[:-1]) < 0.2, a[..., 1], a[..., 0])  # some ties
         name = "state_logsumexp/" + "x".join(map(str, shape))
-        out[name] = {"s": per_call(lambda: state_lse(a), 31, 20), "digest": digest(state_lse(a))}
+        lse = lambda: util.logsumexp_last(a)  # noqa: E731
+        out[name] = {"s": per_call(lse, 31, 20), "digest": digest(lse())}
 
     types = [d for d in optimize.simplex_grid(2, 10) if np.all(np.diff(d.d) <= 0.0)]
     for n_rows in OBJECTIVE_ROWS:

@@ -11,7 +11,6 @@ from .cascade import (
 )
 from .core import (
     EvalResult,
-    LagrangeMultipliers,
     MonotonePath,
     OverlapArray,
     StateDistribution,

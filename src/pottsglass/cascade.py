@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OverlapArray, psd_factor
+from .core import OverlapArray, hs_increments, hs_telescoped, psd_factor
 from .util import BudgetError, ValidationError, Workspace, jackknife_se, logsumexp, map_groups, stack_streams
 
 # rows x leaves of the deepest level folded per block; of 8k, 16k, 32k and 64k
@@ -400,7 +400,7 @@ def _y_estimate(path, beta, scale_n, reps, k, seed, threads):
     HS increments as the level covariances."""
     values = cascade_values(
         0x11D, np.zeros((1, 1), dtype=np.int64), 0.0,
-        level_factors(path.hs_increments()[:, None, None]), beta * np.sqrt(scale_n),
+        level_factors(hs_increments(path.gammas)[:, None, None]), beta * np.sqrt(scale_n),
         CascadeSpec(tuple(path.inner_x), k), reps, seed, threads,
     ) / scale_n
     return float(values.mean()), jackknife_se(values)
@@ -415,7 +415,7 @@ def verify_y_identity(path, beta, scale_N=1, reps=400, atoms_per_level=200, seed
     if scale_N < 1:
         raise ValidationError("scale_N must be at least 1")
     CascadeSpec(tuple(path.inner_x), 2 * atoms_per_level)  # the 2K pass's budget, before any draw
-    closed = 0.5 * beta**2 * path.hs_telescoped()
+    closed = 0.5 * beta**2 * float(hs_telescoped(path.xs, path.gammas))
     est, se = _y_estimate(path, beta, scale_N, reps, atoms_per_level, seed, threads)
     est2, se2 = _y_estimate(path, beta, scale_N, reps, 2 * atoms_per_level, seed, threads)
     allowance = abs(est - est2)
@@ -447,4 +447,4 @@ def coincidence_masses(spec, n_samples, seed=0, threads=1):
         .pair_coincidence_masses(),
         n_samples, threads, stack_size(spec.atoms_per_level**spec.r),
     ))
-    return sum(masses) / n_samples, np.array([jackknife_se(depth) for depth in masses.T])
+    return sum(masses) / n_samples, jackknife_se(masses, axis=0)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cascade import CascadeSpec, coincidence_masses, sample_cascade, sample_overlap_array, verify_y_identity
-from .core import MonotonePath, StateDistribution, round_distribution
+from .core import MonotonePath, StateDistribution, as_multipliers, round_distribution
 from .diagnostics import (
     bootstrap_indices,
     gg_polynomial_extension_check,
@@ -214,9 +214,9 @@ def _cmd_eval_parisi(p):
     kappa = p["kappa"]
     d = _distribution(p, StateDistribution.uniform(kappa))
     path = build_named_path(p["path"], kappa, p["x0"], d)
-    lam = np.asarray(p["lambda"] or np.zeros(kappa - 1))
+    lam = as_multipliers(p["lambda"] or np.zeros(kappa - 1), kappa)
     out = eval_parisi(lam, d, path, p["beta"], QuadratureSpec(nodes_per_dim=p["nodes"])).to_json_dict()
-    out.update({"kappa": kappa, "beta": p["beta"], "lambda": [float(v) for v in np.atleast_1d(lam)]})
+    out.update({"kappa": kappa, "beta": p["beta"], "lambda": [float(v) for v in lam]})
     return out
 
 
@@ -448,7 +448,16 @@ def _csv_rows(report):
             {"t": t, "estimate": e, "se": s}
             for t, e, s in zip(report["t_grid"], report["estimates"], report["std_errors"])
         ]
-    return [{"key": k, "value": v} for k, v in report.items() if np.isscalar(v)]
+    return [{"key": k, "value": v} for k, v in _scalar_items(report)]
+
+
+def _scalar_items(report, prefix=""):
+    """A report's scalars, those of nested dicts under dotted keys (constant_f.residual)."""
+    for k, v in report.items():
+        if isinstance(v, dict):
+            yield from _scalar_items(v, f"{prefix}{k}.")
+        elif np.isscalar(v):
+            yield prefix + k, v
 
 
 def _format_csv(report):

@@ -146,37 +146,19 @@ class StateDistribution:
         return {"kappa": int(self.kappa), "d": [float(v) for v in self.d]}
 
 
-@dataclass(frozen=True)
-class LagrangeMultipliers:
-    """Lagrange multipliers for the first kappa-1 state-size constraints."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim != 1 or not np.all(np.isfinite(lam)):
-            raise ValidationError("multipliers must be a finite 1-d vector")
-        object.__setattr__(self, "lam", freeze(lam))
-
-    @property
-    def kappa(self):
-        return self.lam.size + 1
-
-
 def as_multipliers(lam, kappa):
-    """Coerce an array-like (or scalar for kappa=2) to validated multipliers."""
-    if isinstance(lam, LagrangeMultipliers):
-        out = lam
-    else:
-        arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        if kappa >= 2 and arr.size == 1 and kappa - 1 != 1:
-            arr = np.full(kappa - 1, float(arr[0]))
-        if kappa == 1:
-            arr = arr[:0]
-        out = LagrangeMultipliers(arr)
-    if out.kappa != kappa:
-        raise ValidationError(f"expected {kappa - 1} multipliers, got {out.lam.size}")
-    return out
+    """The kappa-1 multipliers of an array-like as a validated read-only vector;
+    one value stands for all of them (repeated for kappa >= 3), none for kappa = 1."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if kappa >= 3 and lam.size == 1:
+        lam = np.full(kappa - 1, float(lam[0]))
+    if kappa == 1:
+        lam = lam[:0]
+    if lam.ndim != 1 or not np.all(np.isfinite(lam)):
+        raise ValidationError("multipliers must be a finite 1-d vector")
+    if lam.size != kappa - 1:
+        raise ValidationError(f"expected {kappa - 1} multipliers, got {lam.size}")
+    return freeze(lam)
 
 
 @dataclass(frozen=True)
@@ -223,19 +205,6 @@ class MonotonePath:
             return self.gammas[0]
         p = int(np.searchsorted(self.xs[1:], x, side="left"))
         return self.gammas[min(p, self.r)]
-
-    def increment_covariances(self):
-        """(r, kappa, kappa): covariance 2 (gamma_p - gamma_{p-1}) of the
-        level-p Gaussian vector, p = 1..r."""
-        return increment_covariances(self.gammas)
-
-    def hs_increments(self):
-        """|gamma_p|_HS^2 - |gamma_{p-1}|_HS^2 for p = 1..r."""
-        return hs_increments(self.gammas)
-
-    def hs_telescoped(self):
-        """sum_p x_p (|gamma_{p+1}|_HS^2 - |gamma_p|_HS^2) over the levels."""
-        return float(hs_telescoped(self.xs, self.gammas))
 
     @classmethod
     def from_increments(cls, d, inner_x, increments):

@@ -9,8 +9,11 @@ import numpy as np
 from .cascade import (
     CascadeSpec, config_field_sum, level_factors, sample_cascade, sample_level_fields, stack_size,
 )
-from .core import OverlapArray, psd_factor, round_distribution
-from .functional import eval_f1_restricted, eval_phi
+from .core import (
+    OverlapArray, as_multipliers, hs_increments, hs_telescoped, increment_covariances, psd_factor,
+    round_distribution,
+)
+from .functional import eval_lower_bound, eval_phi
 from .model import (
     DisorderInstance,
     config_energies,
@@ -41,10 +44,11 @@ def _gg_samples(array_samples, f, n, q_fn):
 
 
 def _gg_residual_of(columns, n):
-    """The signed moment-identity residual of the column means."""
-    means = columns.mean(axis=0)
-    cross = means[3:].sum() if columns.shape[1] > 3 else 0.0
-    return means[1] - means[0] * means[2] / n - cross / n
+    """The signed moment-identity residual of the column means of an
+    (m, columns) sample, or of each in a stack of them."""
+    means = columns.mean(axis=-2)
+    cross = means[..., 3:].sum(axis=-1)
+    return means[..., 1] - means[..., 0] * means[..., 2] / n - cross / n
 
 
 def bootstrap_indices(seed, n_boot, m):
@@ -61,8 +65,7 @@ def _bootstrap_se(columns, n, idx):
     bias the error low."""
     if idx.ndim != 2 or idx.shape[1] != columns.shape[0]:
         raise ValidationError(f"bootstrap table must have {columns.shape[0]} columns")
-    vals = np.array([_gg_residual_of(columns[rows], n) for rows in idx])
-    return float(vals.std(ddof=1))
+    return float(_gg_residual_of(columns[idx], n).std(ddof=1))
 
 
 def gg_residual(array_samples, f, n, spec, n_boot=200, seed=0, indices=None):
@@ -171,8 +174,8 @@ def interpolation_curve(
     configs = enumerate_configs(N, kappa, counts)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
     k = atoms_per_level
-    z_factors = level_factors(path.increment_covariances())
-    y_factors = level_factors(path.hs_increments()[:, None, None])
+    z_factors = level_factors(increment_covariances(path.gammas))
+    y_factors = level_factors(hs_increments(path.gammas)[:, None, None])
     sqrt_n = np.sqrt(N)
 
     def run(indices, ws):
@@ -203,12 +206,12 @@ def interpolation_curve(
     vals = table[:, :-1]
     y_only = table[:, -1]
     estimates = vals.mean(axis=0)
-    ses = np.array([jackknife_se(vals[:, j]) for j in range(t_grid.size)])
+    ses = jackknife_se(vals, axis=0)
     diffs = np.diff(vals, axis=1)
     inc_means = diffs.mean(axis=0)
-    inc_ses = np.array([jackknife_se(diffs[:, j]) for j in range(diffs.shape[1])])
+    inc_ses = jackknife_se(diffs, axis=0)
     worst = int(np.argmax(inc_means)) if inc_means.size else 0
-    y_term = 0.5 * beta**2 * path.hs_telescoped()
+    y_term = 0.5 * beta**2 * float(hs_telescoped(path.xs, path.gammas))
     report = {
         "t_grid": [float(t) for t in t_grid],
         "estimates": [float(v) for v in estimates],
@@ -241,35 +244,31 @@ def legendre_gap(
 ):
     """Dual upper value (min over the lambda grid) against the restricted-set
     values at enumerable sizes M; the gap should be nonnegative and shrink."""
-    lambda_grid = list(lambda_grid)
+    lambda_grid = [as_multipliers(lam, d.kappa) for lam in lambda_grid]
     if not lambda_grid:
         raise ValidationError("lambda grid must be nonempty")
-    duals = []
-    for lam in lambda_grid:
-        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        phi = eval_phi(lam_arr, path, beta).value
-        duals.append(float(-np.dot(lam_arr, d.d[: d.kappa - 1]) + phi))
+    duals = [
+        float(-np.dot(lam, d.d[: d.kappa - 1]) + eval_phi(lam, path, beta).value) for lam in lambda_grid
+    ]
     best = int(np.argmin(duals))
     dual = duals[best]
     rows = []
     for M in M_list:
         delta = round_distribution(d, M)
-        S = enumerate_configs(M, d.kappa, delta.counts(M))
-        f1 = eval_f1_restricted(
-            S, np.zeros(d.kappa - 1), path, beta, reps, atoms_per_level, seed, threads
-        )
+        lower = eval_lower_bound(M, delta, path, beta, reps, atoms_per_level, seed, threads)
+        f_m = lower.diagnostics["f1"]
         rows.append(
             {
                 "M": int(M),
-                "f_M": f1.value,
-                "std_error": f1.std_error,
-                "gap": dual - f1.value,
+                "f_M": f_m,
+                "std_error": lower.std_error,
+                "gap": dual - f_m,
                 "delta": [float(v) for v in delta.d],
             }
         )
     return {
         "dual": dual,
-        "lambda_star": [float(v) for v in np.atleast_1d(lambda_grid[best])],
+        "lambda_star": [float(v) for v in lambda_grid[best]],
         "dual_values": [float(v) for v in duals],
         "rows": rows,
     }

@@ -176,7 +176,7 @@ def eval_phi(lam, path, beta, quad=None):
         raise ValidationError("beta must be nonnegative")
     lam = as_multipliers(lam, path.kappa)
     phi, totals = _phi_rows(
-        np.append(lam.lam, 0.0)[None], path.inner_x[None], path.increment_covariances()[None],
+        np.append(lam, 0.0)[None], path.inner_x[None], increment_covariances(path.gammas)[None],
         beta, quad,
     )
     return EvalResult(
@@ -201,7 +201,7 @@ def eval_parisi(lam, d, path, beta, quad=None):
         raise ValidationError(f"distribution has {d.kappa} states but the path has {path.kappa}")
     lam = as_multipliers(lam, d.kappa)
     value, phi, rearranged, totals = eval_parisi_rows(
-        lam.lam[None], d.d[None], path.xs[None], path.gammas[None], beta, quad
+        lam[None], d.d[None], path.xs[None], path.gammas[None], beta, quad
     )
     diagnostics = {
         "node_evaluations": totals[0], "levels": path.r,
@@ -263,11 +263,11 @@ def _cascade_mc(tag, configs, lam, path, beta, reps, atoms_per_level, seed, thre
     """
     if reps < 2:
         raise ValidationError("need at least 2 replicates")
-    lam_full = np.append(as_multipliers(lam, path.kappa).lam, 0.0)
+    lam_full = np.append(as_multipliers(lam, path.kappa), 0.0)
     spec = CascadeSpec(tuple(path.inner_x), atoms_per_level)
+    factors = level_factors(increment_covariances(path.gammas))
     values = cascade_values(
-        tag, configs, lam_full[configs].sum(axis=1), level_factors(path.increment_covariances()),
-        beta, spec, reps, seed, threads,
+        tag, configs, lam_full[configs].sum(axis=1), factors, beta, spec, reps, seed, threads
     )
     diagnostics = {"reps": reps, "atoms_per_level": atoms_per_level, **diagnostics}
     return EvalResult(float(values.mean()), jackknife_se(values), "cascade-mc", diagnostics)

@@ -103,15 +103,16 @@ def map_groups(fn, n, threads=1, stack=1):
     return [v for part in map_indexed(group, n_groups, threads) for v in part]
 
 
-def jackknife_se(values):
-    """Leave-one-out jackknife standard error of the mean."""
-    v = np.asarray(values, dtype=float)
-    n = v.size
+def jackknife_se(values, axis=-1):
+    """Leave-one-out jackknife standard error of the mean over axis: a float
+    for 1-d values, else one per row, each summed as a contiguous 1-d sample."""
+    v = np.ascontiguousarray(np.moveaxis(np.atleast_1d(np.asarray(values, float)), axis, -1))
+    n = v.shape[-1]
     if n < 2:
         raise ValidationError("jackknife needs at least 2 replicates")
-    total = v.sum()
-    loo = (total - v) / (n - 1)
-    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+    loo = (v.sum(axis=-1, keepdims=True) - v) / (n - 1)
+    se = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=-1, keepdims=True)) ** 2, axis=-1))
+    return float(se) if se.ndim == 0 else se
 
 
 def logsumexp(a, axis=None):

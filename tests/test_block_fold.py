@@ -29,7 +29,7 @@ from pottsglass.cascade import (
     sample_level_fields,
 )
 from pottsglass.cli import main
-from pottsglass.core import MonotonePath, StateDistribution
+from pottsglass.core import MonotonePath, StateDistribution, hs_increments
 from pottsglass.diagnostics import interpolation_curve
 from pottsglass.functional import eval_phi_cascade_mc
 from pottsglass.util import BudgetError, logsumexp, stack_streams, stream
@@ -107,7 +107,7 @@ def test_scalar_y_path_is_bitwise_the_in_memory_fold(r, step, monkeypatch):
     k, reps, scale_n, beta = 6, 3, 5, 1.2
     set_step(monkeypatch, step, 1, k)
     spec = CascadeSpec(tuple(path.inner_x), k)
-    var_inc = path.hs_increments()[:, None, None]
+    var_inc = hs_increments(path.gammas)[:, None, None]
     values = []
     for i in range(reps):
         rng = stream(8, 0x11D, k, i)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pottsglass import model
+from pottsglass import functional, model
 from pottsglass.cli import (
     _COMMANDS,
     _default_cascade_arrays,
@@ -15,6 +15,7 @@ from pottsglass.cli import (
 from pottsglass.core import MonotonePath, StateDistribution
 from pottsglass.functional import _gh_grid
 from pottsglass.util import ValidationError
+from test_golden_cli import CALLS, run
 
 
 class TestDefaultCascadeArrays:
@@ -307,3 +308,41 @@ class TestFlagTables:
         # beta = 0: log sum_k e^{lambda_k} minus lambda . d
         expected = np.log(np.exp(0.1) + np.exp(0.2) + 1.0) - (0.1 * 0.5 + 0.2 * 0.25)
         assert report["value"] == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_every_golden_call_writes_csv(name):
+    out, code = run(CALLS[name] + ["--format", "csv"])
+    assert code == 0
+    lines = out.decode().splitlines()
+    assert len(lines) >= 2 and "," in lines[0]
+
+
+def test_csv_of_nested_reports_has_dotted_keys():
+    out, code = run(CALLS["diag-gg"] + ["--format", "csv"])
+    assert code == 0
+    rows = out.decode().splitlines()
+    assert rows[0] == "key,value"
+    keys = [row.split(",")[0] for row in rows[1:]]
+    assert keys[:4] == [f"constant_f.{k}" for k in ("residual", "std_error", "n_arrays", "n")]
+    assert {k.split(".")[0] for k in keys} == {"constant_f", "trace_f", "extension"}
+
+
+def test_eval_parisi_echoes_the_multipliers_it_ran_with():
+    # one value stands for all kappa - 1 multipliers, and the report says so
+    one, code_one = run(["eval-parisi", "--kappa", "3", "--lambda", "0.3"])
+    both, code_both = run(["eval-parisi", "--kappa", "3", "--lambda", "0.3,0.3"])
+    assert code_one == code_both == 0
+    assert one == both
+    assert json.loads(one)["lambda"] == [0.3, 0.3]
+
+
+@pytest.mark.parametrize("M", ["13", "30"])
+def test_diag_legendre_refuses_large_m_before_enumerating(M, monkeypatch, capsys):
+    # --M 30 once enumerated 155,117,520 configurations into a budget error (3)
+    def refuse(*args):
+        raise AssertionError(f"enumerate_configs{args} called")
+
+    monkeypatch.setattr(functional, "enumerate_configs", refuse)
+    assert main(["diag-legendre", "--M", M, "--reps", "4", "--atoms", "20"]) == 2
+    assert "M must be at most 12" in capsys.readouterr().err

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pottsglass import cli, diagnostics, util
+from pottsglass import cli, diagnostics, functional, util
 from pottsglass.cascade import OverlapArray
 from pottsglass.cli import _default_cascade_arrays
-from pottsglass.core import MonotonePath, StateDistribution
+from pottsglass.core import MonotonePath, StateDistribution, round_distribution
 from pottsglass.diagnostics import (
     gg_polynomial_extension_check,
     gg_residual,
@@ -12,8 +12,10 @@ from pottsglass.diagnostics import (
     legendre_gap,
     sync_fit,
 )
+from pottsglass.functional import eval_f1_restricted
 from pottsglass.model import (
     PerturbationSpec,
+    enumerate_configs,
     enumerate_free_energy,
     perturbation_covariance,
 )
@@ -231,3 +233,55 @@ def test_given_bootstrap_table_equals_the_seeded_one():
     assert gg_residual(arrays, f, 2, UNIT_SPEC, indices=table) == seeded
     with pytest.raises(ValidationError, match="columns"):
         gg_residual(arrays, f, 2, UNIT_SPEC, indices=table[:, :-1])
+
+
+def reference_gg_residual_of(columns, n):
+    """_gg_residual_of as it was: the residual of one (m, columns) sample."""
+    means = columns.mean(axis=0)
+    cross = means[3:].sum() if columns.shape[1] > 3 else 0.0
+    return means[1] - means[0] * means[2] / n - cross / n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [10, 400])
+def test_stacked_residuals_equal_the_per_row_loop(n, m):
+    # one call on the gathered columns[idx] against one call per bootstrap
+    # row; n = 1 has no cross term, n = 2 and 3 have one of n - 1 columns
+    rng = np.random.default_rng(m + n)
+    columns = rng.standard_normal((m, 3 + n - 1)) * np.exp(rng.standard_normal(3 + n - 1))
+    idx = diagnostics.bootstrap_indices(5, 200, m)
+    loop = np.array([reference_gg_residual_of(columns[rows], n) for rows in idx])
+    assert diagnostics._gg_residual_of(columns[idx], n).tobytes() == loop.tobytes()
+    assert np.float64(diagnostics._gg_residual_of(columns, n)).tobytes() == (
+        np.float64(reference_gg_residual_of(columns, n)).tobytes()
+    )
+    se = diagnostics._bootstrap_se(columns, n, idx)
+    assert np.float64(se).tobytes() == np.float64(loop.std(ddof=1)).tobytes()
+
+
+@pytest.mark.parametrize("kappa,beta", [(2, 0.7), (3, 1.1)])
+def test_legendre_f_m_is_the_restricted_set_value(kappa, beta):
+    d = StateDistribution.uniform(kappa)
+    path = MonotonePath.one_step(d, 0.4)
+    grid = [np.full(kappa - 1, v) for v in (-0.5, 0.0, 0.5)]
+    rep = legendre_gap(d, path, beta, grid, [2, 3, 5], reps=4, atoms_per_level=15, seed=3)
+    for row in rep["rows"]:
+        M = row["M"]
+        S = enumerate_configs(M, kappa, round_distribution(d, M).counts(M))
+        f1 = eval_f1_restricted(S, np.zeros(kappa - 1), path, beta, 4, 15, 3, 1)
+        assert np.float64(row["f_M"]).tobytes() == np.float64(f1.value).tobytes()
+        assert np.float64(row["std_error"]).tobytes() == np.float64(f1.std_error).tobytes()
+        assert row["gap"] == rep["dual"] - f1.value
+
+
+@pytest.mark.parametrize("M", [13, 30])
+def test_legendre_checks_m_before_enumerating(M, monkeypatch):
+    # M = 30 would be a class of 155,117,520 configurations: the size check
+    # comes first, so no configuration is enumerated and no budget is hit
+    def refuse(*args):
+        raise AssertionError(f"enumerate_configs{args} called")
+
+    monkeypatch.setattr(functional, "enumerate_configs", refuse)
+    d = StateDistribution.uniform(2)
+    with pytest.raises(ValidationError, match="at most 12"):
+        legendre_gap(d, MonotonePath.one_step(d, 0.5), 1.0, [np.zeros(1)], [M])

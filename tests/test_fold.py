@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 from conftest import lone_replicate_streams, random_path, rng_state, seeded
 from pottsglass import cascade
 from pottsglass.cascade import CascadeSpec, cascade_values, level_factors, sample_cascade
-from pottsglass.core import MonotonePath, StateDistribution, psd_factor
+from pottsglass.core import MonotonePath, StateDistribution, hs_increments, increment_covariances, psd_factor
 from pottsglass.diagnostics import interpolation_curve
 from pottsglass.model import DisorderInstance, config_energies, enumerate_configs, mean_energy
 from pottsglass.util import jackknife_se, stream
@@ -115,7 +115,7 @@ def test_coincidence_masses_match_leaf_weights(x):
 def test_y_estimate_matches_leaf_arrays(x0):
     d = StateDistribution(np.array([0.6, 0.4]))
     path = MonotonePath.one_step(d, x0)
-    var_inc = path.hs_increments()[:, None, None]
+    var_inc = hs_increments(path.gammas)[:, None, None]
     spec = CascadeSpec(tuple(path.inner_x), 9)
     values = []
     for i in range(4):
@@ -142,8 +142,8 @@ def test_interpolation_curve_matches_leaf_arrays():
         g = DisorderInstance(n, 6, draw=i)
         draws = stream(6, 0x17E, i)
         log_v = oracle_log_leaf_weights(spec, draws)
-        z = oracle_leaf_fields(spec, path.increment_covariances(), draws, n)
-        y = oracle_leaf_fields(spec, path.hs_increments()[:, None, None], draws, 1)[:, 0, 0]
+        z = oracle_leaf_fields(spec, increment_covariances(path.gammas), draws, n)
+        y = oracle_leaf_fields(spec, hs_increments(path.gammas)[:, None, None], draws, 1)[:, 0, 0]
         h = config_energies(configs, g.g) - mean_energy(g.g, kappa, counts)
         zterm = sum(z[:, j, configs[:, j] - 1] for j in range(n))
         rows.append([

@@ -8,7 +8,9 @@ from conftest import random_distribution, random_path, seeded
 from test_fold import oracle_log_leaf_weights
 from pottsglass import functional
 from pottsglass.cascade import CascadeSpec, level_factors, sample_cascade, sample_level_fields
-from pottsglass.core import EvalResult, MonotonePath, StateDistribution, hs_telescoped, psd_factor
+from pottsglass.core import (
+    EvalResult, MonotonePath, StateDistribution, hs_telescoped, increment_covariances, psd_factor,
+)
 from pottsglass.functional import (
     MAX_NODES_PER_DIM,
     RANK_TOL,
@@ -154,7 +156,7 @@ class TestEvalPhi:
         for i in range(3):
             draws = stream(5, 0xF1, 30, i)
             sample = sample_cascade(spec, draws)
-            fields = sample_level_fields(sample, level_factors(p.increment_covariances()), draws)
+            fields = sample_level_fields(sample, level_factors(increment_covariances(p.gammas)), draws)
             # a leaf's field is the sum of its ancestors' node fields
             z = sum(np.repeat(g[0, 0], 30 ** (1 - q), axis=-1) for q, g in enumerate(fields)).T
             per_leaf = logsumexp(0.8 * z + lam, axis=1)
@@ -303,7 +305,7 @@ def reference_phi(lam, path, beta, nodes_per_dim=9):
     it gained a batch axis: the kept directions by a mask on the eigenvalues,
     each level's nodes from per_call_nodes."""
     lam_full = np.append(lam, 0.0)
-    levels = [per_call_nodes(cov, nodes_per_dim) for cov in path.increment_covariances()]
+    levels = [per_call_nodes(cov, nodes_per_dim) for cov in increment_covariances(path.gammas)]
 
     def recurse(p, s):
         if p == path.r:

@@ -17,7 +17,7 @@ from conftest import random_path, rng_state, seeded
 from test_fold import LEVELS, oracle_log_leaf_weights
 from pottsglass import cascade, diagnostics, functional, util
 from pottsglass.cascade import CascadeSpec, cascade_values, level_factors, sample_cascade, sample_overlap_array
-from pottsglass.core import StateDistribution
+from pottsglass.core import StateDistribution, hs_increments
 
 REPS = 9
 # all replicates in one stack, then stacks of 7, 2 and 1; the last on the pool
@@ -95,7 +95,7 @@ def test_y_identity_replicates_are_the_one_site_kernel(r, monkeypatch):
     report = cascade.verify_y_identity(path, beta, scale_N=n, reps=REPS, atoms_per_level=k, seed=5)
     monkeypatch.undo()
     assert len(seen) == 2  # the K pass, then the 2K pass
-    factors = level_factors(path.hs_increments()[:, None, None])
+    factors = level_factors(hs_increments(path.gammas)[:, None, None])
     for atoms, values, name in zip((k, 2 * k), seen, ("", "_2k")):
         scalar = cascade_values(
             0x11D, np.zeros((1, 1), dtype=np.int64), 0.0, factors, beta * np.sqrt(n),

@@ -1,10 +1,12 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import seeded
+from pottsglass import model
 from pottsglass.core import StateDistribution
 from pottsglass.model import (
     DisorderInstance,
@@ -16,12 +18,14 @@ from pottsglass.model import (
     enumerate_free_energy,
     hamiltonian,
     mcmc_free_energy,
+    _one_hot,
     mean_energy,
     overlap,
     perturbation_covariance,
     quadratic_forms,
 )
 from pottsglass.util import BudgetError, ValidationError, stream
+from test_util import reference_jackknife_se
 
 
 class TestDisorderInstance:
@@ -32,9 +36,9 @@ class TestDisorderInstance:
         c = DisorderInstance(5, seed=3, draw=1)
         assert not np.array_equal(a.g, c.g)
 
-    def test_explicit_matrix_validated(self):
-        with pytest.raises(ValidationError):
-            DisorderInstance(2, seed=0, g=np.ones((3, 3)))
+    def test_drawn_from_its_key_only(self):
+        with pytest.raises(TypeError):
+            DisorderInstance(2, seed=0, g=np.ones((2, 2)))
         with pytest.raises(ValidationError):
             DisorderInstance(0, seed=0)
 
@@ -360,3 +364,80 @@ class TestAssCheck:
     def test_draw_floor(self):
         with pytest.raises(ValidationError):
             ass_covariance_check(3, 1, 2, n_draws=10)
+
+
+def reference_cov_with_se(x, y):
+    """The per-entry cross-moment and error that ass_covariance_check took
+    before its product array."""
+    prod = x * y
+    return float(prod.mean()), reference_jackknife_se(prod)
+
+
+def reference_ass_covariance_check(N, M, kappa, n_pairs, n_draws, seed, z_ses):
+    """ass_covariance_check as it was, entry by entry, for N, M > 0; each
+    pair's kappa x kappa error table is appended to z_ses."""
+    rng = stream(seed, 0xA55)
+    pairs = [(np.ones(N, dtype=np.int64), np.ones(N, dtype=np.int64))]
+    while len(pairs) < n_pairs:
+        pairs.append(
+            (rng.integers(1, kappa + 1, size=N), rng.integers(1, kappa + 1, size=N))
+        )
+    checks = []
+    for idx, (s1, s2) in enumerate(pairs):
+        r = overlap(s1, s2, kappa)
+        draws = stream(seed, 0xA55, 1, idx)
+        pair_report = {"pair": idx, "sigma1": s1.tolist(), "sigma2": s2.tolist()}
+        c = draws.standard_normal((n_draws, N)) + draws.standard_normal((n_draws, N))
+        z1 = c @ _one_hot(s1, kappa) / np.sqrt(N + M)
+        z2 = c @ _one_hot(s2, kappa) / np.sqrt(N + M)
+        z_err = np.zeros((kappa, kappa))
+        z_se = np.zeros((kappa, kappa))
+        target_z = 2.0 * N / (N + M) * r
+        for k in range(kappa):
+            for kp in range(kappa):
+                est, se = reference_cov_with_se(z1[:, k], z2[:, kp])
+                z_err[k, kp] = est - target_z[k, kp]
+                z_se[k, kp] = se
+        z_ses.append(z_se)
+        pair_report["z_max_error"] = float(np.max(np.abs(z_err)))
+        pair_report["z_passed"] = bool(np.all(np.abs(z_err) <= 3.0 * z_se + 1e-12))
+        gp = draws.standard_normal((n_draws, N * N))
+        mask1 = (s1[:, None] == s1[None, :]).astype(float).ravel()
+        mask2 = (s2[:, None] == s2[None, :]).astype(float).ravel()
+        y1 = gp @ mask1 / np.sqrt(N * (N + M))
+        y2 = gp @ mask2 / np.sqrt(N * (N + M))
+        y_est, y_se = reference_cov_with_se(y1, y2)
+        target_y = N / (N + M) * float(np.sum(r**2))
+        pair_report["y_estimate"] = y_est
+        pair_report["y_target"] = target_y
+        pair_report["y_passed"] = bool(abs(y_est - target_y) <= 3.0 * y_se + 1e-12)
+        lhs = N * float(np.sum(r**2))
+        rhs = N**2 / (N + M) * float(np.sum(r**2)) + M * target_y
+        pair_report["split_identity_residual"] = abs(lhs - rhs)
+        checks.append(pair_report)
+    passed = all(
+        c.get("z_passed", True) and c["y_passed"] and c["split_identity_residual"] <= 1e-10
+        for c in checks
+    )
+    return {"N": N, "M": M, "kappa": kappa, "n_draws": n_draws, "pairs": checks, "passed": passed}
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_ass_check_product_array_is_the_per_entry_loop(kappa, monkeypatch):
+    # every entry's error bit for bit, and the report byte for byte
+    z_ses = []
+    expected = reference_ass_covariance_check(5, 2, kappa, 4, 1500, 7, z_ses)
+    errors = []
+    real = model.jackknife_se
+
+    def recorded(values, axis=-1):
+        errors.append(real(values, axis))
+        return errors[-1]
+
+    monkeypatch.setattr(model, "jackknife_se", recorded)
+    report = ass_covariance_check(5, 2, kappa, n_pairs=4, n_draws=1500, seed=7)
+    assert json.dumps(report) == json.dumps(expected)
+    tables = [se for se in errors if np.ndim(se) == 2]
+    assert len(tables) == len(z_ses) == 4
+    for got, want in zip(tables, z_ses):
+        assert got.tobytes() == want.tobytes()

@@ -198,3 +198,47 @@ class TestWorkspace:
         c = ws.take("k", (4, 5))
         assert c.shape == (4, 5) and not np.shares_memory(a, c)
         assert not np.shares_memory(c, ws.take("other", (4, 5)))
+
+
+def reference_jackknife_se(values):
+    """jackknife_se as it was before it took an axis: one 1-d sample."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    if n < 2:
+        raise util.ValidationError("jackknife needs at least 2 replicates")
+    total = v.sum()
+    loo = (total - v) / (n - 1)
+    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+
+
+class TestJackknife:
+    """The axis-wise error against the per-column loop it replaced, bit for
+    bit: the loop's callers passed strided columns of a replicate table."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 8193])
+    def test_columns_equal_the_per_column_loop(self, n):
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((n, 5)) * np.exp(rng.standard_normal(5) * 3)
+        loop = np.array([reference_jackknife_se(table[:, j]) for j in range(table.shape[1])])
+        assert util.jackknife_se(table, axis=0).tobytes() == loop.tobytes()
+        assert util.jackknife_se(table.T).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 8193])
+    def test_stacked_rows_equal_one_call_each(self, n):
+        rng = np.random.default_rng(n + 1)
+        stack = rng.standard_normal((3, 2, n))
+        loop = np.array([[reference_jackknife_se(row) for row in rows] for rows in stack])
+        assert util.jackknife_se(stack).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 8193])
+    def test_one_sample_is_a_python_float(self, n):
+        values = np.random.default_rng(n + 2).standard_normal(n)
+        se = util.jackknife_se(values)
+        assert type(se) is float
+        assert np.float64(se).tobytes() == np.float64(reference_jackknife_se(values)).tobytes()
+        assert util.jackknife_se(list(values)) == se
+
+    @pytest.mark.parametrize("values", [[], [1.0], 1.0, np.zeros((4, 1)), np.zeros((3, 0))])
+    def test_fewer_than_two_replicates_raise(self, values):
+        with pytest.raises(util.ValidationError, match="at least 2"):
+            util.jackknife_se(values)
